@@ -11,7 +11,7 @@ from .graph import LabeledGraph, NodeKind, normalize_label
 from .matching import CostModel, match
 
 
-@dataclass
+@dataclass(slots=True)
 class PartialElement:
     count: int
     labels: Counter = field(default_factory=Counter)

@@ -23,7 +23,7 @@ def normalize_label(label: str, case_sensitive: bool = False) -> str:
     return text if case_sensitive else text.casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeKind:
     kind: str
     op: Optional[str] = None
@@ -46,14 +46,14 @@ DECISION = NodeKind(KIND_DECISION)
 CONCEPT = NodeKind(KIND_CONCEPT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     label: str
     kind: NodeKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: str
     target: str

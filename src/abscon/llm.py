@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import requests
-
 from .errors import EmptyPool, EndpointError, IoError, ModelSyntaxError
 from .notation import EXTENSIONS, Notation, ParsedCandidate, extract_code_block, parse
 
@@ -81,6 +79,8 @@ def build_bundle(domain: str, description: str, examples: list[str] | None = Non
 
 
 def _request_completion(cfg: SamplingConfig, messages: list[dict], temperature: float) -> str:
+    import requests  # slow to import; only online sampling needs it
+
     payload = {
         "model": cfg.model,
         "messages": messages,

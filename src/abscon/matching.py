@@ -14,11 +14,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import TooLarge
-from .graph import LabeledGraph, normalize_label
-from .similarity import EmbeddingProvider, SimilarityMode, node_similarity
+from .graph import LabeledGraph, Node, normalize_label
+from .similarity import EmbeddingProvider, SimilarityMode, similarity_matrix
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
 ORACLE_LIMIT = 8
@@ -31,11 +30,13 @@ class CostModel:
     tau: float = 0.5
     case_sensitive: bool = False
 
-    def node_sub(self, a, b) -> float:
-        sim = node_similarity(a, b, self.mode, self.provider, self.case_sensitive)
-        if sim < self.tau:
-            return math.inf
-        return 1.0 - sim
+    def sub_matrix(self, left: list[Node], right: list[Node]) -> np.ndarray:
+        """Node substitution costs; inf where the similarity is below tau."""
+        sim = similarity_matrix(left, right, self.mode, self.provider, self.case_sensitive)
+        return np.where(sim < self.tau, math.inf, 1.0 - sim)
+
+    def node_sub(self, a: Node, b: Node) -> float:
+        return float(self.sub_matrix([a], [b])[0, 0])
 
 
 @dataclass
@@ -51,22 +52,29 @@ class _Instance:
     def __init__(self, candidate: LabeledGraph, base: LabeledGraph, cost: CostModel):
         self.cand_ids = sorted(candidate.nodes)
         self.base_ids = sorted(base.nodes)
-        self.sub = {}
-        for c in self.cand_ids:
-            for b in self.base_ids:
-                value = cost.node_sub(candidate.nodes[c], base.nodes[b])
-                if value != math.inf:
-                    self.sub[(c, b)] = value
+        self.sub = cost.sub_matrix(
+            [candidate.nodes[c] for c in self.cand_ids], [base.nodes[b] for b in self.base_ids]
+        )
+        # Finite substitutions per candidate node, in base id order.
+        self.choices = {c: {} for c in self.cand_ids}
+        rows, cols = np.nonzero(np.isfinite(self.sub))
+        for i, j, value in zip(rows.tolist(), cols.tolist(), self.sub[rows, cols].tolist()):
+            self.choices[self.cand_ids[i]][self.base_ids[j]] = value
         norm = lambda l: normalize_label(l, cost.case_sensitive)
         self.cand_edges = [(e.source, e.target, norm(e.label)) for e in candidate.edges]
         self.base_edge_set = {(e.source, e.target, norm(e.label)) for e in base.edges}
         self.n_base_edges = len(base.edges)
+        self.incident = {c: [] for c in self.cand_ids}
+        for edge in self.cand_edges:
+            self.incident[edge[0]].append(edge)
+            if edge[1] != edge[0]:
+                self.incident[edge[1]].append(edge)
 
     def mapping_cost(self, node_map: dict[str, str]) -> float:
         total = 0.0
         for c in self.cand_ids:
             b = node_map.get(c)
-            total += self.sub[(c, b)] if b is not None else 1.0
+            total += self.choices[c][b] if b is not None else 1.0
         total += len(self.base_ids) - len(node_map)
         matched = 0
         for s, t, l in self.cand_edges:
@@ -77,6 +85,28 @@ class _Instance:
                 total += 1.0
         total += self.n_base_edges - matched
         return total
+
+    def move_delta(self, node_map: dict[str, str], moved: dict[str, str | None]) -> float:
+        """mapping_cost after giving each candidate in `moved` its new image
+        (None: unmapped) minus mapping_cost before, from the moved nodes'
+        substitutions and incident edges only. A matched edge is worth -2:
+        it saves both the candidate edge's deletion and the base edge's
+        insertion."""
+        delta = 0.0
+        for c, new in moved.items():
+            old = node_map.get(c)
+            delta += (self.choices[c][new] if new is not None else 1.0) - (
+                self.choices[c][old] if old is not None else 1.0
+            )
+            delta += (old is not None) - (new is not None)  # unmatched base nodes
+        base_edges = self.base_edge_set
+        gained = 0
+        # A set, so that an edge between two moved nodes counts once.
+        for s, t, l in {e for c in moved for e in self.incident[c]}:
+            before = (node_map.get(s), node_map.get(t), l) in base_edges
+            after = (moved.get(s, node_map.get(s)), moved.get(t, node_map.get(t)), l) in base_edges
+            gained += after - before
+        return delta - 2 * gained
 
 
 def match(
@@ -167,13 +197,13 @@ def _exhaustive(inst: _Instance) -> tuple[dict[str, str], float]:
                     d += 1
             return d, m
 
-        for b in inst.base_ids:
-            if b in used or (c, b) not in inst.sub:
+        for b, sub in inst.choices[c].items():
+            if b in used:
                 continue
             current[c] = b
             used.add(b)
             d, m = settle({c: b})
-            dfs(depth + 1, node_cost + inst.sub[(c, b)], edge_del + d, matched + m)
+            dfs(depth + 1, node_cost + sub, edge_del + d, matched + m)
             del current[c]
             used.discard(b)
         d, m = settle({})
@@ -185,57 +215,58 @@ def _exhaustive(inst: _Instance) -> tuple[dict[str, str], float]:
 
 def _assignment_start(inst: _Instance) -> dict[str, str]:
     """Bipartite assignment over nodes with local edge-neighborhood terms."""
+    # Only matches above EXHAUSTIVE_LIMIT get here; scipy is slow to import.
+    from scipy.optimize import linear_sum_assignment
+
     n, m = len(inst.cand_ids), len(inst.base_ids)
     big = 1e6  # stands in for forbidden substitutions
-    size = n + m
-    matrix = np.full((size, size), 0.0)
-    cand_out = {c: [] for c in inst.cand_ids}
-    cand_in = {c: [] for c in inst.cand_ids}
-    for s, t, l in inst.cand_edges:
-        cand_out[s].append(l)
-        cand_in[t].append(l)
-    base_out = {b: [] for b in inst.base_ids}
-    base_in = {b: [] for b in inst.base_ids}
-    for s, t, l in inst.base_edge_set:
-        base_out[s].append(l)
-        base_in[t].append(l)
+    labels = sorted({l for _, _, l in inst.cand_edges} | {l for _, _, l in inst.base_edge_set})
+    column = {l: k for k, l in enumerate(labels)}
+    cand_out, cand_in = _label_counts(inst.cand_edges, inst.cand_ids, column)
+    base_out, base_in = _label_counts(inst.base_edge_set, inst.base_ids, column)
 
-    def local_term(c, b):
-        cost = 0.0
-        for ca, ba in ((cand_out, base_out), (cand_in, base_in)):
-            left, pool = sorted(ca[c]), sorted(ba[b])
-            shared = 0
-            for l in left:
-                if l in pool:
-                    pool.remove(l)
-                    shared += 1
-            cost += 0.5 * (len(left) + len(pool) - shared)
-        return cost
+    # Local edge term of substituting c by b: half the unshared incident
+    # edge labels, in and out, where sharing is multiset intersection.
+    local = np.zeros((n, m))
+    for cand, base in ((cand_out, base_out), (cand_in, base_in)):
+        shared = np.zeros((n, m))
+        for k in range(len(labels)):
+            shared += np.minimum.outer(cand[:, k], base[:, k])
+        local += 0.5 * (cand.sum(axis=1)[:, None] + base.sum(axis=1)[None, :] - 2 * shared)
 
-    for i, c in enumerate(inst.cand_ids):
-        for j, b in enumerate(inst.base_ids):
-            sub = inst.sub.get((c, b))
-            matrix[i, j] = big if sub is None else sub + local_term(c, b)
+    cand_degree = (cand_out + cand_in).sum(axis=1)
+    base_degree = (base_out + base_in).sum(axis=1)
+    matrix = np.zeros((n + m, n + m))
+    matrix[:n, :m] = np.where(np.isfinite(inst.sub), inst.sub + local, big)
     matrix[:n, m:] = big
-    for i, c in enumerate(inst.cand_ids):
-        matrix[i, m + i] = 1.0 + 0.5 * (len(cand_out[c]) + len(cand_in[c]))
+    matrix[np.arange(n), m + np.arange(n)] = 1.0 + 0.5 * cand_degree
     matrix[n:, :m] = big
-    for j, b in enumerate(inst.base_ids):
-        matrix[n + j, j] = 1.0 + 0.5 * (len(base_out[b]) + len(base_in[b]))
-    matrix[n:, m:] = 0.0
+    matrix[n + np.arange(m), np.arange(m)] = 1.0 + 0.5 * base_degree
 
     rows, cols = linear_sum_assignment(matrix)
     node_map = {}
     for i, j in zip(rows, cols):
-        if i < n and j < m and (inst.cand_ids[i], inst.base_ids[j]) in inst.sub:
+        if i < n and j < m and np.isfinite(inst.sub[i, j]):
             node_map[inst.cand_ids[i]] = inst.base_ids[j]
     return node_map
 
 
+def _label_counts(edges, ids: list[str], column: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node outgoing and incoming edge counts, one column per label."""
+    row = {node_id: i for i, node_id in enumerate(ids)}
+    out = np.zeros((len(ids), len(column)))
+    inc = np.zeros((len(ids), len(column)))
+    for s, t, l in edges:
+        out[row[s], column[l]] += 1
+        inc[row[t], column[l]] += 1
+    return out, inc
+
+
 def _refine(inst: _Instance, node_map: dict[str, str], deadline: float) -> tuple[dict[str, str], float]:
-    """Greedy local moves: remap / unmap single nodes, swap image pairs."""
+    """Greedy local moves: remap / unmap single nodes, swap image pairs. Each
+    move is scored by its cost delta; a move is taken when it lowers the
+    cost by more than 1e-12."""
     best = dict(node_map)
-    best_cost = inst.mapping_cost(best)
     improved = True
     while improved and time.monotonic() < deadline:
         improved = False
@@ -243,20 +274,21 @@ def _refine(inst: _Instance, node_map: dict[str, str], deadline: float) -> tuple
         for c in inst.cand_ids:
             if time.monotonic() >= deadline:
                 break
-            options: list[str | None] = [b for b in inst.base_ids if (c, b) in inst.sub and (b not in used or best.get(c) == b)]
+            options: list[str | None] = [
+                b for b in inst.choices[c] if b not in used or best.get(c) == b
+            ]
             options.append(None)
             for b in options:
-                if best.get(c) == b:
+                old = best.get(c)
+                if old == b:
                     continue
-                trial = dict(best)
-                if b is None:
-                    trial.pop(c, None)
-                else:
-                    trial[c] = b
-                trial_cost = inst.mapping_cost(trial)
-                if trial_cost < best_cost - 1e-12:
-                    best, best_cost = trial, trial_cost
-                    used = set(best.values())
+                if inst.move_delta(best, {c: b}) < -1e-12:
+                    used.discard(old)
+                    if b is None:
+                        del best[c]
+                    else:
+                        best[c] = b
+                        used.add(b)
                     improved = True
         mapped = sorted(best)
         for i in range(len(mapped)):
@@ -264,14 +296,9 @@ def _refine(inst: _Instance, node_map: dict[str, str], deadline: float) -> tuple
                 break
             for j in range(i + 1, len(mapped)):
                 a, b = mapped[i], mapped[j]
-                if a not in best or b not in best:
+                if best[b] not in inst.choices[a] or best[a] not in inst.choices[b]:
                     continue
-                if (a, best[b]) not in inst.sub or (b, best[a]) not in inst.sub:
-                    continue
-                trial = dict(best)
-                trial[a], trial[b] = best[b], best[a]
-                trial_cost = inst.mapping_cost(trial)
-                if trial_cost < best_cost - 1e-12:
-                    best, best_cost = trial, trial_cost
+                if inst.move_delta(best, {a: best[b], b: best[a]}) < -1e-12:
+                    best[a], best[b] = best[b], best[a]
                     improved = True
-    return best, best_cost
+    return best, inst.mapping_cost(best)

@@ -13,7 +13,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import ProviderFailure
-from .graph import Edge, Node, normalize_label
+from .graph import Edge, Node, NodeKind, normalize_label
 
 EMBED_DIM = 256
 
@@ -123,6 +123,60 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def similarity_matrix(
+    left: Sequence[Node],
+    right: Sequence[Node],
+    mode: SimilarityMode = SimilarityMode.EMBEDDING,
+    provider: EmbeddingProvider | None = None,
+    case_sensitive: bool = False,
+) -> np.ndarray:
+    """len(left) x len(right) similarities in [0, 1].
+
+    0 whenever the node kinds differ, 1 for equal normalized labels; other
+    pairs score 0 in exact mode and the clipped cosine of their label
+    embeddings otherwise (0 against a zero vector). All embeddings come from
+    a single provider call over the distinct labels that need one.
+    """
+    kinds: dict[NodeKind, int] = {}
+    labels: dict[str, int] = {}
+
+    def intern(nodes: Sequence[Node]) -> tuple[np.ndarray, np.ndarray]:
+        kind_ids = [kinds.setdefault(n.kind, len(kinds)) for n in nodes]
+        label_ids = [
+            labels.setdefault(normalize_label(n.label, case_sensitive), len(labels)) for n in nodes
+        ]
+        return np.array(kind_ids, dtype=np.intp), np.array(label_ids, dtype=np.intp)
+
+    left_kind, left_label = intern(left)
+    right_kind, right_label = intern(right)
+    same_kind = left_kind[:, None] == right_kind[None, :]
+    same_label = left_label[:, None] == right_label[None, :]
+    sim = (same_kind & same_label).astype(float)
+    pending = same_kind & ~same_label
+    if mode == SimilarityMode.EXACT_LABEL or not pending.any():
+        return sim
+
+    rows = np.flatnonzero(pending.any(axis=1))
+    cols = np.flatnonzero(pending.any(axis=0))
+    texts = sorted({left[i].label for i in rows} | {right[j].label for j in cols})
+    vectors = (provider or _DEFAULT_PROVIDER).embed(texts)
+    vector_of = dict(zip(texts, vectors))
+    a = np.array([vector_of[left[i].label] for i in rows], dtype=float)
+    b = np.array([vector_of[right[j].label] for j in cols], dtype=float)
+    norm_a = np.array([np.linalg.norm(v) for v in a])
+    norm_b = np.array([np.linalg.norm(v) for v in b])
+    # einsum without optimization sums each pair's products in the same
+    # order whatever the matrix shape (BLAS matmul does not), so an entry
+    # never depends on which other nodes were in the call.
+    dots = np.einsum("ik,jk->ij", a, b, optimize=False)
+    nonzero = (norm_a[:, None] > 0) & (norm_b[None, :] > 0)
+    cos = np.zeros_like(dots)
+    np.divide(dots, np.outer(norm_a, norm_b), out=cos, where=nonzero)
+    block = np.ix_(rows, cols)
+    sim[block] = np.where(pending[block], np.clip(cos, 0.0, 1.0), sim[block])
+    return sim
+
+
 def node_similarity(
     a: Node,
     b: Node,
@@ -131,17 +185,7 @@ def node_similarity(
     case_sensitive: bool = False,
 ) -> float:
     """Similarity in [0, 1]; 0 whenever the node kinds differ."""
-    if a.kind != b.kind:
-        return 0.0
-    la = normalize_label(a.label, case_sensitive)
-    lb = normalize_label(b.label, case_sensitive)
-    if mode == SimilarityMode.EXACT_LABEL:
-        return 1.0 if la == lb else 0.0
-    if la == lb:
-        return 1.0
-    provider = provider or _DEFAULT_PROVIDER
-    va, vb = provider.embed([a.label, b.label])
-    return min(1.0, max(0.0, cosine(va, vb)))
+    return float(similarity_matrix([a], [b], mode, provider, case_sensitive)[0, 0])
 
 
 def relation_match(e1: Edge, e2: Edge, node_map: dict[str, str], case_sensitive: bool = False) -> bool:

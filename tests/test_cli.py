@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import abscon
 from abscon.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -149,3 +153,15 @@ def test_evaluate_clevr_manifest(tmp_path):
     assert by_method["escf"]["accuracy"] == 1.0
     header = (out / "per_sample.csv").read_text().splitlines()[0]
     assert "executed" in header and "accurate" in header
+
+
+def test_cli_import_defers_scipy_and_requests():
+    # A fresh interpreter, since this one may have imported both already.
+    src = str(Path(abscon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, abscon.cli; "
+            "print([m for m in ('scipy.optimize', 'requests') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
