@@ -11,8 +11,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .abstraction import PartialModel
 from .constraints import (
     EQ,
@@ -39,6 +37,7 @@ class Solution:
     assignment: dict[str, int] | None
     objective: float
     status: str
+    nodes_explored: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -95,61 +94,162 @@ def bce_objective(partial: PartialModel, assignment: dict[str, int],
 # Branch and bound
 
 
+def _best_choice(edges, values, need: int, slots: int) -> tuple[float, int, int, int]:
+    """Best admissible choice among edges sorted by weight: the ones fixed
+    to 1, then free ones while they help or are needed, at most `slots` free
+    ones. Returns (weight, edge count, unmet need, slots left). Zero-weight
+    edges count towards the tie count but add no weight."""
+    gain = 0.0
+    count = 0
+    for e, we in edges:
+        x = values[e]
+        if x == 1:
+            gain += we
+            count += 1
+        elif x == -1 and slots > 0:
+            if we > 0.0 or need > 0:
+                gain += we
+                count += 1
+                slots -= 1
+                need -= 1
+            elif we > -_TOL:
+                count += 1
+                slots -= 1
+    return gain, count, need, slots
+
+
 class _Solver:
+    """Depth-first branch and bound over the binary selection variables.
+
+    A search node costs time in proportion to what changed there: assign()
+    and undo_to() keep linear-row sums and per-node counts of in- and
+    out-edges fixed to 1 and to 0, and mark the nodes whose bound terms
+    must be recomputed. Only the totals are taken over all nodes, with
+    builtin sum and max, so no float total drifts over many undos.
+
+    The bound charges every edge to its target, or to its source when the
+    source has a minimum out-degree (a flowchart decision). Under
+    single_source each selected node but one (the root) has at least one
+    selected in-edge, and at most as many as its in-degree row allows. So a
+    node's term is its weight plus its best admissible choice of the edges
+    charged to it (clipped at 0 while the node is free), and the best root
+    waiver (root term minus that term) is added once.
+    """
+
     def __init__(self, problem: ConstraintProblem, timeout: float):
         self.problem = problem
         self.deadline = time.monotonic() + timeout
         self.vars = sorted(problem.variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
-        self.weights = np.array([problem.weights.get(v, 0.0) for v in self.vars])
+        n_vars = len(self.vars)
+        self.weights = [float(problem.weights.get(v, 0.0)) for v in self.vars]
         self.order = sorted(
-            range(len(self.vars)),
+            range(n_vars),
             key=lambda i: (-abs(self.weights[i]), self.vars[i]),
         )
-        self.values = [-1] * len(self.vars)
+        self.values = [-1] * n_vars
         self.trail: list[int] = []
 
-        self.edge_endpoints = {}
-        self.incident: dict[int, list[int]] = {i: [] for i in range(len(self.vars))}
-        self.in_edges_of: dict[int, list[int]] = {i: [] for i in range(len(self.vars))}
-        self.out_edges_of: dict[int, list[int]] = {i: [] for i in range(len(self.vars))}
+        kinds = {g.kind for g in problem.global_cs}
+        self.acyclic = "acyclic" in kinds
+        self.single_source = "single_source" in kinds
+        self.single_sink = "single_sink" in kinds
+        self.reachable = "reachable_from_source" in kinds
+        self.scene_source = "source_kind_is" in kinds
+
+        # Nodes get positions 0..n-1; edges carry their endpoints' positions.
+        self.node_vi = [self.index[v] for v in problem.nodes]
+        n = len(self.node_vi)
+        self.pos = [-1] * n_vars
+        for p, vi in enumerate(self.node_vi):
+            self.pos[vi] = p
+        # An edge's ends are (source, target, their positions, its node pair).
+        self.ends: list[tuple[int, int, int, int, int] | None] = [None] * n_vars
+        self.incident: list[list[int]] = [[] for _ in range(n_vars)]
+        self.in_edges: list[list[int]] = [[] for _ in range(n)]
+        self.out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        pairs: dict[tuple[int, int], int] = {}
         for var, edge in problem.edges.items():
             e = self.index[var]
             s, t = self.index[edge.source], self.index[edge.target]
-            self.edge_endpoints[e] = (s, t)
+            sp, tp = self.pos[s], self.pos[t]
+            self.ends[e] = (s, t, sp, tp, pairs.setdefault((sp, tp), len(pairs)))
             self.incident[s].append(e)
             self.incident[t].append(e)
-            self.in_edges_of[t].append(e)
-            self.out_edges_of[s].append(e)
-        self.node_idx = [self.index[v] for v in problem.nodes]
-        self.is_node = [v in problem.nodes for v in self.vars]
+            self.in_edges[tp].append(e)
+            self.out_adj[sp].append((e, tp))
+        self.n_in = [len(es) for es in self.in_edges]
+        self.n_out = [len(es) for es in self.out_adj]
+        self.bad_root = [
+            not (nv.kind.is_clevr and nv.kind.op == "scene") for nv in problem.nodes.values()
+        ]
 
-        self.constraints = []
-        self.watching: dict[int, list[int]] = {i: [] for i in range(len(self.vars))}
+        # Linear rows. A link row (edge <= endpoint) propagates exactly like
+        # the explicit node/edge rules in propagate(), so it is left to them.
+        # Rows over one node's in- or out-edges give the bound its degree
+        # limits (_note_degree_row).
+        self.rows: list[tuple[list[tuple[int, int]], str, int, int]] = []
+        self.row_lo: list[int] = []
+        self.row_hi: list[int] = []
+        self.watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n_vars)]
+        self.cap_in = list(self.n_in)
+        min_in = [0] * n
+        self.min_out = [0] * n
         for lc in problem.linear:
             terms = [(c, self.index[v]) for c, v in lc.terms]
-            ci = len(self.constraints)
-            self.constraints.append((terms, lc.relation, lc.bound))
-            for _, vi in terms:
-                self.watching[vi].append(ci)
+            if self._is_link(terms, lc.relation, lc.bound):
+                continue
+            self._note_degree_row(terms, lc.relation, lc.bound, min_in)
+            ci = len(self.rows)
+            max_c = max((abs(c) for c, _ in terms), default=0)
+            self.rows.append((terms, lc.relation, lc.bound, max_c))
+            self.row_lo.append(sum(min(c, 0) for c, _ in terms))
+            self.row_hi.append(sum(max(c, 0) for c, _ in terms))
+            for c, vi in terms:
+                self.watch[vi].append((ci, max(c, 0), min(c, 0)))
+        self.root_ok = [m == 0 for m in min_in]
 
-        self.global_kinds = {g.kind for g in problem.global_cs}
-        self.node_kind = {}
-        for var, nv in problem.nodes.items():
-            self.node_kind[self.index[var]] = nv.kind
+        # An edge out of a node with an out-degree minimum is charged to its
+        # source; every other edge to its target.
+        def by_weight(es):
+            return [(e, self.weights[e]) for e in sorted(es, key=lambda e: (-self.weights[e], e))]
 
-        # Under a single-source constraint, at most one node without any
-        # incoming edge variable can ever be selected; group each such node
-        # with its outgoing edges so the bound admits only the best bundle.
-        self.bundle_of = [-1] * len(self.vars)
-        self.n_bundles = 0
-        if "single_source" in self.global_kinds:
-            for vi in self.node_idx:
-                if not self.in_edges_of[vi]:
-                    self.bundle_of[vi] = self.n_bundles
-                    for e in self.out_edges_of[vi]:
-                        self.bundle_of[e] = self.n_bundles
-                    self.n_bundles += 1
+        self.in_sorted = [by_weight([e for e in es if not self.min_out[self.ends[e][2]]])
+                          for es in self.in_edges]
+        self.in_foreign = [[e for e in es if self.min_out[self.ends[e][2]]] for es in self.in_edges]
+        self.out_sorted = [by_weight([e for e, _ in adj]) if self.min_out[p] else []
+                           for p, adj in enumerate(self.out_adj)]
+        self.lo_in = [max(m, 1) for m in min_in] if self.single_source else min_in
+
+        # Incremental state. Node sets are bitmasks over positions: alive
+        # (not fixed to 0), selected, potential sources, and per node the
+        # targets it still has an edge to that is not fixed to 0.
+        self.pair_live = [0] * len(pairs)
+        self.live_out = [0] * n
+        for sp, tp in pairs:
+            self.live_out[sp] |= 1 << tp
+        for ends in self.ends:
+            if ends is not None:
+                self.pair_live[ends[4]] += 1
+        self.alive = (1 << n) - 1
+        self.selected = 0
+        self.potential = 0
+        self.in1 = [0] * n
+        self.in0 = [0] * n
+        self.out1 = [0] * n
+        self.out0 = [0] * n
+        self.term = [0.0] * n
+        self.tie = [0] * n
+        self.root_tie = [1] * n
+        self.waiver = [-math.inf] * n
+        self.must_root: set[int] = set()
+        self.flags = [(False, False, False, False)] * n
+        self.n_dsrc = 0
+        self.n_dsrc_bad = 0
+        self.n_psink = 0
+        self.n_dsink = 0
+        self.dirty = set(range(n))
+        self.new_ones: list[int] = []
 
         self.best_assignment: dict[str, int] | None = None
         self.best_obj = -math.inf
@@ -157,197 +257,339 @@ class _Solver:
         self.nodes_explored = 0
         self.timed_out = False
 
+    def _is_link(self, terms, relation, bound) -> bool:
+        if relation != LE or bound != 0 or len(terms) != 2:
+            return False
+        (c1, e), (c2, node) = terms
+        ends = self.ends[e]
+        return c1 == 1 and c2 == -1 and ends is not None and node in ends[:2]
+
+    def _note_degree_row(self, terms, relation, bound, min_in) -> None:
+        """Read a node's in-degree cap (<=), exact in-degree (=) or minimum
+        out-degree (>=) from a row over its in- or out-edges at +1 and the
+        node at -k."""
+        if bound != 0:
+            return
+        heads = [(c, vi) for c, vi in terms if c < 0 and self.pos[vi] >= 0]
+        if len(heads) != 1:
+            return
+        p = self.pos[heads[0][1]]
+        if relation == GE:
+            if sorted(terms) == sorted([(1, e) for e, _ in self.out_adj[p]] + heads):
+                self.min_out[p] = max(self.min_out[p], -heads[0][0])
+            return
+        if sorted(terms) != sorted([(1, e) for e in self.in_edges[p]] + heads):
+            return
+        k = -heads[0][0]
+        self.cap_in[p] = min(self.cap_in[p], k)
+        if relation == EQ:
+            min_in[p] = max(min_in[p], k)
+
     # -- assignment machinery
 
     def assign(self, vi: int, value: int, queue: list[int]) -> bool:
-        if self.values[vi] != -1:
-            return self.values[vi] == value
+        current = self.values[vi]
+        if current != -1:
+            return current == value
         self.values[vi] = value
         self.trail.append(vi)
         queue.append(vi)
+        row_lo, row_hi = self.row_lo, self.row_hi
+        ends = self.ends[vi]
+        if value:
+            for ci, pos, neg in self.watch[vi]:
+                row_lo[ci] += pos
+                row_hi[ci] += neg
+            if ends is None:
+                p = self.pos[vi]
+                self.selected |= 1 << p
+                self.dirty.add(p)
+                return True
+            self.in1[ends[3]] += 1
+            self.out1[ends[2]] += 1
+            self.new_ones.append(vi)
+        else:
+            for ci, pos, neg in self.watch[vi]:
+                row_lo[ci] -= neg
+                row_hi[ci] -= pos
+            if ends is None:
+                p = self.pos[vi]
+                self.alive &= ~(1 << p)
+                self.dirty.add(p)
+                return True
+            self.in0[ends[3]] += 1
+            self.out0[ends[2]] += 1
+            k = ends[4]
+            self.pair_live[k] -= 1
+            if not self.pair_live[k]:
+                self.live_out[ends[2]] &= ~(1 << ends[3])
+        self.dirty.add(ends[3])
+        if self.single_sink or self.min_out[ends[2]]:
+            self.dirty.add(ends[2])
         return True
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            self.values[self.trail.pop()] = -1
+        trail, values = self.trail, self.values
+        row_lo, row_hi, dirty = self.row_lo, self.row_hi, self.dirty
+        while len(trail) > mark:
+            vi = trail.pop()
+            value = values[vi]
+            values[vi] = -1
+            ends = self.ends[vi]
+            if value:
+                for ci, pos, neg in self.watch[vi]:
+                    row_lo[ci] -= pos
+                    row_hi[ci] -= neg
+                if ends is None:
+                    self.selected &= ~(1 << self.pos[vi])
+                else:
+                    self.in1[ends[3]] -= 1
+                    self.out1[ends[2]] -= 1
+            else:
+                for ci, pos, neg in self.watch[vi]:
+                    row_lo[ci] += neg
+                    row_hi[ci] += pos
+                if ends is None:
+                    self.alive |= 1 << self.pos[vi]
+                else:
+                    self.in0[ends[3]] -= 1
+                    self.out0[ends[2]] -= 1
+                    k = ends[4]
+                    if not self.pair_live[k]:
+                        self.live_out[ends[2]] |= 1 << ends[3]
+                    self.pair_live[k] += 1
+            if ends is None:
+                dirty.add(self.pos[vi])
+            else:
+                dirty.add(ends[3])
+                if self.single_sink or self.min_out[ends[2]]:
+                    dirty.add(ends[2])
+        self.new_ones.clear()
 
     def propagate(self, queue: list[int]) -> bool:
-        touched = list(queue)
+        touched = queue
+        values, ends_of, assign = self.values, self.ends, self.assign
         while touched:
-            next_constraints = set()
+            next_rows = set()
             while touched:
                 vi = touched.pop()
-                value = self.values[vi]
-                if self.is_node[vi] and value == 0:
-                    for e in self.incident[vi]:
-                        if not self.assign(e, 0, touched):
-                            return False
-                elif not self.is_node[vi] and value == 1:
-                    s, t = self.edge_endpoints[vi]
-                    if not self.assign(s, 1, touched) or not self.assign(t, 1, touched):
+                value = values[vi]
+                ends = ends_of[vi]
+                if ends is None:
+                    if value == 0:
+                        for e in self.incident[vi]:
+                            if not assign(e, 0, touched):
+                                return False
+                elif value == 1:
+                    if not assign(ends[0], 1, touched) or not assign(ends[1], 1, touched):
                         return False
-                next_constraints.update(self.watching[vi])
-            for ci in sorted(next_constraints):
+                for ci, _, _ in self.watch[vi]:
+                    next_rows.add(ci)
+            for ci in next_rows:
                 if not self._propagate_linear(ci, touched):
                     return False
         return True
 
     def _propagate_linear(self, ci: int, queue: list[int]) -> bool:
-        terms, relation, bound = self.constraints[ci]
-        lo = hi = 0
-        free = []
-        for c, vi in terms:
-            v = self.values[vi]
-            if v == -1:
-                lo += min(c, 0)
-                hi += max(c, 0)
-                free.append((c, vi))
-            else:
-                lo += c * v
-                hi += c * v
-        if relation in (LE, EQ):
+        # Forcing a term never moves the sum it was forced by, so the row
+        # sums can be read live while the terms are scanned.
+        terms, relation, bound, max_c = self.rows[ci]
+        values = self.values
+        if relation != GE:
+            lo = self.row_lo[ci]
             if lo > bound:
                 return False
-            for c, vi in free:
-                if c > 0 and lo + c > bound:
-                    if not self.assign(vi, 0, queue):
-                        return False
-                elif c < 0 and lo - c > bound:
-                    if not self.assign(vi, 1, queue):
-                        return False
-        if relation in (GE, EQ):
+            if lo + max_c > bound:
+                for c, vi in terms:
+                    if values[vi] != -1:
+                        continue
+                    if c > 0 and lo + c > bound:
+                        if not self.assign(vi, 0, queue):
+                            return False
+                    elif c < 0 and lo - c > bound:
+                        if not self.assign(vi, 1, queue):
+                            return False
+        if relation != LE:
+            hi = self.row_hi[ci]
             if hi < bound:
                 return False
-            for c, vi in free:
-                if self.values[vi] != -1:
-                    continue
-                if c > 0 and hi - c < bound:
-                    if not self.assign(vi, 1, queue):
-                        return False
-                elif c < 0 and hi + c < bound:
-                    if not self.assign(vi, 0, queue):
-                        return False
+            if hi - max_c < bound:
+                for c, vi in terms:
+                    if values[vi] != -1:
+                        continue
+                    if c > 0 and hi - c < bound:
+                        if not self.assign(vi, 1, queue):
+                            return False
+                    elif c < 0 and hi + c < bound:
+                        if not self.assign(vi, 0, queue):
+                            return False
         return True
+
+    # -- per-node state, recomputed for the nodes marked dirty
+
+    def _flush(self) -> None:
+        for p in self.dirty:
+            self._refresh(p)
+        self.dirty.clear()
+
+    def _refresh(self, p: int) -> None:
+        values = self.values
+        vi = self.node_vi[p]
+        val = values[vi]
+        in1 = self.in1[p]
+        sel = val == 1
+        dsrc = sel and self.in0[p] == self.n_in[p]
+        if self.single_sink:
+            psink = val != 0 and self.out1[p] == 0
+            dsink = sel and self.out0[p] == self.n_out[p]
+        else:
+            psink = dsink = False
+        flags = (val != 0 and in1 == 0, dsrc, psink, dsink)
+        old = self.flags[p]
+        if flags != old:
+            self.flags[p] = flags
+            if flags[0] != old[0]:
+                self.potential ^= 1 << p
+            self.n_dsrc += dsrc - old[1]
+            if self.bad_root[p]:
+                self.n_dsrc_bad += dsrc - old[1]
+            self.n_psink += psink - old[2]
+            self.n_dsink += dsink - old[3]
+
+        if val == 0:
+            self.term[p], self.tie[p], self.waiver[p] = 0.0, 0, -math.inf
+            self.root_tie[p] = 0
+            self.must_root.discard(p)
+            return
+        # The out-edges this node is charged for, then its in-edges as a
+        # non-root node; a free in-edge charged to its source meets the need
+        # for one at no cost here.
+        w = self.weights[vi]
+        total, count, dead = w, 1, False
+        if self.out_sorted[p]:
+            gain, n_out, unmet, _ = _best_choice(
+                self.out_sorted[p], values, self.min_out[p] - self.out1[p], self.n_out[p])
+            total += gain
+            count += n_out
+            dead = unmet > 0
+        root = total if in1 == 0 and self.root_ok[p] and not dead else -math.inf
+        root_tie = count
+        need = self.lo_in[p] - in1
+        slots = self.cap_in[p] - in1
+        if need > 0 and self.in_foreign[p]:
+            spare = min(need, slots, sum(1 for e in self.in_foreign[p] if values[e] == -1))
+            need -= spare
+            slots -= spare
+        gain, n_in, need, slots = _best_choice(self.in_sorted[p], values, need, slots)
+        total += gain
+        count += n_in
+        if need > 0 or slots < 0 or dead:  # can only be the root
+            term, tie = 0.0, 0
+            if sel:
+                self.must_root.add(p)
+            else:
+                self.must_root.discard(p)
+        else:
+            self.must_root.discard(p)
+            if sel:
+                term, tie = total, count
+            else:
+                term = total if total > 0.0 else 0.0
+                tie = count if total > -_TOL else 0
+        self.term[p], self.tie[p], self.waiver[p] = term, tie, root - term
+        self.root_tie[p] = root_tie
+
+    def bound(self) -> float:
+        """Upper bound on the objective of any completion that satisfies
+        the problem."""
+        if self.dirty:
+            self._flush()
+        must = self.must_root
+        if not self.single_source:
+            return -math.inf if must else sum(self.term)
+        if must:
+            if len(must) > 1:
+                return -math.inf
+            (p,) = must
+            return sum(self.term) + self.waiver[p]
+        return sum(self.term) + max(self.waiver, default=-math.inf)
+
+    def tie_count(self) -> int:
+        """Upper bound on the element count of any completion whose
+        objective reaches bound() (to within the pruning tolerance)."""
+        if self.dirty:
+            self._flush()
+        tie = sum(self.tie)
+        if not self.single_source:
+            return tie
+        if self.must_root:
+            return tie + max(self.root_tie[p] for p in self.must_root)
+        # The root counts its root choice instead of its non-root one.
+        top = max(self.waiver, default=-math.inf) - 2 * _TOL
+        return tie + max(
+            (r - t for r, t, w in zip(self.root_tie, self.tie, self.waiver) if w >= top),
+            default=0,
+        )
 
     # -- structural pruning (sound: prunes only provably doomed subtrees)
 
     def structural_conflict(self) -> bool:
-        values = self.values
-        if "acyclic" in self.global_kinds and self._must_edge_cycle():
-            return True
-        if {"single_source", "source_kind_is", "reachable_from_source"} & self.global_kinds:
-            # A node with an incoming edge already selected can never end up
-            # a source, whatever happens to the free variables.
-            potential_sources = [
-                vi for vi in self.node_idx
-                if values[vi] != 0
-                and not any(values[e] == 1 for e in self.in_edges_of[vi])
-            ]
-            definite_sources = [
-                vi for vi in potential_sources
-                if values[vi] == 1
-                and all(values[e] == 0 for e in self.in_edges_of[vi])
-            ]
-            any_selected = any(values[vi] == 1 for vi in self.node_idx)
-            if "single_source" in self.global_kinds:
-                if len(definite_sources) > 1:
+        if self.dirty:
+            self._flush()
+        if self.acyclic and self.new_ones:
+            for e in self.new_ones:
+                if self._reaches(self.ends[e][3], self.ends[e][2]):
                     return True
-                if any_selected and not potential_sources:
-                    return True
-            if "source_kind_is" in self.global_kinds:
-                for vi in definite_sources:
-                    kind = self.node_kind[vi]
-                    if not (kind.is_clevr and kind.op == "scene"):
-                        return True
-            if "reachable_from_source" in self.global_kinds and any_selected:
-                # Optimistic reachability: selected nodes must be reachable
-                # from some potential source via edges not yet excluded.
-                reached = set(potential_sources)
-                stack = list(potential_sources)
-                while stack:
-                    vi = stack.pop()
-                    for e in self.out_edges_of[vi]:
-                        if values[e] == 0:
-                            continue
-                        target = self.edge_endpoints[e][1]
-                        if target not in reached and values[target] != 0:
-                            reached.add(target)
-                            stack.append(target)
-                for vi in self.node_idx:
-                    if values[vi] == 1 and vi not in reached:
-                        return True
-        if "single_sink" in self.global_kinds:
-            potential_sinks = [
-                vi for vi in self.node_idx
-                if values[vi] != 0
-                and not any(values[e] == 1 for e in self.out_edges_of[vi])
-            ]
-            definite_sinks = [
-                vi for vi in potential_sinks
-                if values[vi] == 1
-                and all(values[e] == 0 for e in self.out_edges_of[vi])
-            ]
-            if len(definite_sinks) > 1:
+            self.new_ones.clear()
+        if self.single_source:
+            # Two selected nodes without any possible in-edge, or selected
+            # nodes but none that can still be a source.
+            if self.n_dsrc > 1 or (self.selected and not self.potential):
                 return True
-            if any(values[vi] == 1 for vi in self.node_idx) and not potential_sinks:
+        if self.scene_source and self.n_dsrc_bad:
+            return True
+        if self.reachable and self.selected and not self._all_reachable():
+            return True
+        if self.single_sink:
+            if self.n_dsink > 1 or (self.selected and not self.n_psink):
                 return True
         return False
 
-    def _must_edge_cycle(self) -> bool:
-        indeg = {vi: 0 for vi in self.node_idx}
-        out: dict[int, list[int]] = {vi: [] for vi in self.node_idx}
-        total = 0
-        for e, (s, t) in self.edge_endpoints.items():
-            if self.values[e] == 1:
-                out[s].append(t)
-                indeg[t] += 1
-                total += 1
-        if not total:
-            return False
-        queue = [vi for vi in self.node_idx if indeg[vi] == 0]
-        seen = 0
-        while queue:
-            vi = queue.pop()
-            seen += 1
-            for t in out[vi]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-        return seen < len(self.node_idx)
+    def _reaches(self, start: int, goal: int) -> bool:
+        """Is there a path start -> goal over edges fixed to 1?"""
+        if start == goal:
+            return True
+        values, out1 = self.values, self.out1
+        seen = {start}
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            if not out1[p]:
+                continue
+            for e, t in self.out_adj[p]:
+                if values[e] == 1 and t not in seen:
+                    if t == goal:
+                        return True
+                    seen.add(t)
+                    stack.append(t)
+        return False
+
+    def _all_reachable(self) -> bool:
+        """Optimistic reachability: every selected node is reachable from
+        some potential source via edges and nodes not yet excluded."""
+        live_out, alive, selected = self.live_out, self.alive, self.selected
+        reached = frontier = self.potential
+        while frontier and selected & ~reached:
+            targets = 0
+            while frontier:
+                low = frontier & -frontier
+                targets |= live_out[low.bit_length() - 1]
+                frontier ^= low
+            frontier = targets & alive & ~reached
+            reached |= frontier
+        return not selected & ~reached
 
     # -- search
-
-    def bound_and_counts(self) -> tuple[float, int, int]:
-        """(objective upper bound, selected so far, count upper bound among
-        equal-objective completions). A variable with a genuinely negative
-        weight cannot appear in any completion that ties the bound, so it is
-        excluded from the tie count. Feasible completions activate at most
-        one source bundle, so only the best bundle enters the bound."""
-        bound = 0.0
-        selected = 0
-        tie_count = 0
-        bundles = [0.0] * self.n_bundles
-        for i, v in enumerate(self.values):
-            w = self.weights[i]
-            b = self.bundle_of[i]
-            if v == 1:
-                selected += 1
-                tie_count += 1
-                if b < 0:
-                    bound += w
-                else:
-                    bundles[b] += w
-            elif v == -1:
-                if w > 0.0:
-                    if b < 0:
-                        bound += w
-                    else:
-                        bundles[b] += w
-                if w > -_TOL:
-                    tie_count += 1
-        if bundles:
-            bound += max(0.0, max(bundles))
-        return bound, selected, tie_count
 
     def search(self) -> None:
         queue: list[int] = []
@@ -358,27 +600,32 @@ class _Solver:
             return
         if self.structural_conflict():
             return
-        self._dfs()
+        self._dfs(0)
 
-    def _dfs(self) -> None:
+    def _dfs(self, start: int) -> None:
+        """Search below the current node; every variable before position
+        start of the branching order is already assigned."""
         self.nodes_explored += 1
         if self.nodes_explored % 128 == 0 and time.monotonic() > self.deadline:
             self.timed_out = True
         if self.timed_out:
             return
 
-        bound, selected, tie_count = self.bound_and_counts()
-        if bound < self.best_obj - _TOL:
+        bound = self.bound()
+        if bound < self.best_obj - _TOL or bound == -math.inf:  # -inf: no completion
             return
-        if bound <= self.best_obj + _TOL and tie_count <= self.best_count:
+        if bound <= self.best_obj + _TOL and self.tie_count() <= self.best_count:
             return
 
-        branch_var = next((i for i in self.order if self.values[i] == -1), None)
-        if branch_var is None:
-            assignment = {self.vars[i]: self.values[i] for i in range(len(self.vars))}
+        values, order = self.values, self.order
+        while start < len(order) and values[order[start]] != -1:
+            start += 1
+        if start == len(order):
+            assignment = {self.vars[i]: v for i, v in enumerate(values)}
             if not self.problem.satisfied(assignment):
                 return
-            obj = float(sum(self.weights[i] for i, v in enumerate(self.values) if v == 1))
+            obj = float(sum(w for w, v in zip(self.weights, values) if v == 1))
+            selected = values.count(1)
             if (
                 obj > self.best_obj + _TOL
                 or (abs(obj - self.best_obj) <= _TOL and selected > self.best_count)
@@ -388,13 +635,14 @@ class _Solver:
                 self.best_assignment = assignment
             return
 
+        branch_var = order[start]
         preferred = 1 if self.weights[branch_var] >= 0 else 0
         for value in (preferred, 1 - preferred):
             mark = len(self.trail)
             queue: list[int] = []
             if self.assign(branch_var, value, queue) and self.propagate(queue):
                 if not self.structural_conflict():
-                    self._dfs()
+                    self._dfs(start + 1)
             self.undo_to(mark)
             if self.timed_out:
                 return
@@ -409,10 +657,12 @@ def solve(problem: ConstraintProblem, timeout: float = 60.0) -> Solution:
     solver = _Solver(problem, timeout)
     solver.search()
     if solver.timed_out:
-        return Solution(solver.best_assignment, solver.best_obj, TIMED_OUT_BEST)
-    if solver.best_assignment is None:
-        return Solution(None, -math.inf, INFEASIBLE)
-    return Solution(solver.best_assignment, solver.best_obj, OPTIMAL)
+        status = TIMED_OUT_BEST
+    elif solver.best_assignment is None:
+        return Solution(None, -math.inf, INFEASIBLE, solver.nodes_explored)
+    else:
+        status = OPTIMAL
+    return Solution(solver.best_assignment, solver.best_obj, status, solver.nodes_explored)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +683,8 @@ def brute_force(problem: ConstraintProblem) -> Solution:
     Independent verification path for solve(): the domain rules are applied
     to the induced concrete graph, not to the encoded constraints.
     """
+    import numpy as np
+
     variables = sorted(problem.variables)
     k = len(variables)
     if k > BRUTE_FORCE_LIMIT:

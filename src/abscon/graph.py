@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import DuplicateEdge, UnknownNode
 
@@ -110,27 +110,5 @@ class LabeledGraph:
         """Set of (source, target, normalized label) triples."""
         return set(self._edge_keys)
 
-    def copy(self) -> "LabeledGraph":
-        g = LabeledGraph()
-        g.nodes = dict(self.nodes)
-        g.edges = list(self.edges)
-        g._edge_keys = set(self._edge_keys)
-        g._next_id = self._next_id
-        return g
-
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def graph_from(nodes: Iterable[Node], edges: Iterable[Edge]) -> LabeledGraph:
-    """Build a graph from prebuilt parts, enforcing all invariants."""
-    g = LabeledGraph()
-    for n in nodes:
-        if not n.label and not n.kind.is_clevr:
-            raise ValueError("only clevr_op nodes may have an empty label")
-        if n.id in g.nodes:
-            raise ValueError(f"duplicate node id {n.id!r}")
-        g.nodes[n.id] = n
-    for e in edges:
-        g.add_edge(e.source, e.target, e.label)
-    return g

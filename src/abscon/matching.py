@@ -10,14 +10,18 @@ search.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import TooLarge
 from .graph import LabeledGraph, Node, normalize_label
 from .similarity import EmbeddingProvider, SimilarityMode, similarity_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
 ORACLE_LIMIT = 8
@@ -32,6 +36,8 @@ class CostModel:
 
     def sub_matrix(self, left: list[Node], right: list[Node]) -> np.ndarray:
         """Node substitution costs; inf where the similarity is below tau."""
+        import numpy as np
+
         sim = similarity_matrix(left, right, self.mode, self.provider, self.case_sensitive)
         return np.where(sim < self.tau, math.inf, 1.0 - sim)
 
@@ -50,6 +56,8 @@ class _Instance:
     """Precomputed cost data for one (candidate, base) pair."""
 
     def __init__(self, candidate: LabeledGraph, base: LabeledGraph, cost: CostModel):
+        import numpy as np
+
         self.cand_ids = sorted(candidate.nodes)
         self.base_ids = sorted(base.nodes)
         self.sub = cost.sub_matrix(
@@ -215,8 +223,9 @@ def _exhaustive(inst: _Instance) -> tuple[dict[str, str], float]:
 
 def _assignment_start(inst: _Instance) -> dict[str, str]:
     """Bipartite assignment over nodes with local edge-neighborhood terms."""
-    # Only matches above EXHAUSTIVE_LIMIT get here; scipy is slow to import.
-    from scipy.optimize import linear_sum_assignment
+    import numpy as np
+
+    linear_sum_assignment = _linear_sum_assignment()
 
     n, m = len(inst.cand_ids), len(inst.base_ids)
     big = 1e6  # stands in for forbidden substitutions
@@ -251,8 +260,41 @@ def _assignment_start(inst: _Instance) -> dict[str, str]:
     return node_map
 
 
+def _linear_sum_assignment():
+    """scipy's linear_sum_assignment, without importing scipy.optimize.
+
+    The function lives in scipy's compiled `_lsap` extension; the
+    scipy.optimize package around it costs about 48 MB and 0.45 s to import.
+    The extension is loaded from scipy's package directory under its own
+    name, so a later `import scipy.optimize` reuses it; the public import is
+    the fallback wherever that layout differs.
+    """
+    import importlib.machinery
+
+    name = "scipy.optimize._lsap"
+    if name not in sys.modules:
+        try:
+            spec = importlib.machinery.PathFinder.find_spec("scipy")
+            directory = os.path.join(os.path.dirname(spec.origin), "optimize")
+            path = next(os.path.join(directory, "_lsap" + suffix)
+                        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                        if os.path.exists(os.path.join(directory, "_lsap" + suffix)))
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = loader.create_module(importlib.machinery.ModuleSpec(name, loader, origin=path))
+            loader.exec_module(module)
+            sys.modules[name] = module
+        except (AttributeError, ImportError, OSError, StopIteration, TypeError):
+            sys.modules.pop(name, None)
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+    return sys.modules[name].linear_sum_assignment
+
+
 def _label_counts(edges, ids: list[str], column: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-node outgoing and incoming edge counts, one column per label."""
+    import numpy as np
+
     row = {node_id: i for i, node_id in enumerate(ids)}
     out = np.zeros((len(ids), len(column)))
     inc = np.zeros((len(ids), len(column)))

@@ -6,14 +6,19 @@ similarity of text embeddings. Relations are always compared exactly.
 from __future__ import annotations
 
 import enum
-import hashlib
 import os
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .errors import ProviderFailure
 from .graph import Edge, Node, NodeKind, normalize_label
+
+try:  # hashlib's md5 maps OpenSSL's libcrypto: about 3.6 MB more resident memory
+    from _md5 import md5
+except ImportError:  # an interpreter built without the builtin module
+    from hashlib import md5
+
+if TYPE_CHECKING:  # numpy is imported where vectors are built: about 14 MB, 0.1 s
+    import numpy as np
 
 EMBED_DIM = 256
 
@@ -31,7 +36,7 @@ class EmbeddingProvider(Protocol):
 
 def _bucket(feature: str) -> int:
     # md5 keeps the hash stable across runs and platforms.
-    digest = hashlib.md5(feature.encode("utf-8")).digest()
+    digest = md5(feature.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big") % EMBED_DIM
 
 
@@ -41,6 +46,8 @@ def builtin_embed(texts: Sequence[str]) -> list[np.ndarray]:
     Deterministic offline substitute for a sentence-embedding service.
     Empty text maps to the zero vector (similarity 0 to everything).
     """
+    import numpy as np
+
     out = []
     for text in texts:
         vec = np.zeros(EMBED_DIM)
@@ -88,6 +95,8 @@ class RemoteProvider:
             raise ProviderFailure(str(exc)) from exc
         if len(vectors) != len(texts):
             raise ProviderFailure("provider returned wrong number of vectors")
+        import numpy as np
+
         out = [np.asarray(v, dtype=float) for v in vectors]
         dims = {v.shape for v in out}
         if len(dims) > 1:
@@ -117,6 +126,8 @@ class CachingProvider:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return 0.0
@@ -137,6 +148,8 @@ def similarity_matrix(
     embeddings otherwise (0 against a zero vector). All embeddings come from
     a single provider call over the distinct labels that need one.
     """
+    import numpy as np
+
     kinds: dict[NodeKind, int] = {}
     labels: dict[str, int] = {}
 

@@ -320,3 +320,30 @@ def random_partial_model(rng: random.Random, domain: str, max_vars: int = 14):
         model.edges[key] = PartialElement(count, Counter({label: count}))
         budget -= 1
     return model
+
+
+def dense_partial_model(rng: random.Random, domain: str, n: int):
+    """A flowchart or taxonomy partial model with about three edges per node
+    around a planted consistent model, every count uniform in 1..5 of 5
+    candidates. Many selections score alike, which is where the solver's
+    bound is weakest. Needs n >= 5, so that 3n distinct edges exist."""
+    from collections import Counter
+
+    from abscon.abstraction import PartialElement, PartialModel
+
+    truth = random_flowchart(rng, n) if domain == "flowchart" else random_taxonomy_tree(rng, n)
+    model = PartialModel(n_candidates=5)
+    elem_of = {node.id: model.new_node(node.label, node.kind) for node in truth.nodes.values()}
+    edges = {(e.source, e.target, normalize_label(e.label)): e.label for e in truth.edges}
+    node_ids = sorted(truth.nodes)
+    while len(edges) < 3 * n:
+        src, tgt = rng.sample(node_ids, 2)
+        label = rng.choice(["", "yes", "no"]) if domain == "flowchart" else ""
+        edges.setdefault((src, tgt, label), label)
+    for elem in model.nodes.values():
+        elem.count = rng.randint(1, 5)
+        elem.labels = Counter({next(iter(elem.labels)): elem.count})
+    for (src, tgt, norm), label in sorted(edges.items()):
+        count = rng.randint(1, 5)
+        model.edges[(elem_of[src], elem_of[tgt], norm)] = PartialElement(count, Counter({label: count}))
+    return model

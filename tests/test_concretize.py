@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -196,3 +199,28 @@ def test_concretize_output_always_checks(tmp_path):
         except InfeasibleModel:
             continue
         assert check(final, prof).consistent
+
+
+def test_solve_path_does_not_import_numpy():
+    # A fresh interpreter: build, solve, materialize, check and serialize run
+    # in pure Python, so a caller that only solves does not pay numpy's
+    # import (about 14 MB resident).
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                          os.environ.get("PYTHONPATH")]))
+    code = (
+        "import random, sys\n"
+        "from abscon import build_problem, check, profile, serialize, solve, weights\n"
+        "from genutil import dense_partial_model\n"
+        "prof = profile('flowchart')\n"
+        "partial = dense_partial_model(random.Random(1), 'flowchart', 8)\n"
+        "problem = build_problem(partial, prof)\n"
+        "problem.weights = weights(partial)\n"
+        "graph = problem.induced_graph(solve(problem).assignment)\n"
+        "assert check(graph, prof).consistent\n"
+        "serialize(graph, prof.notation)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"

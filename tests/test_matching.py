@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +110,24 @@ def test_larger_graphs_use_approximate_path():
     assert not result.optimal
     assert result.total_cost == 0.0
     assert result.node_map == {i: i for i in g.nodes}
+
+
+def test_warm_start_loads_only_the_assignment_extension():
+    # A fresh interpreter: a 12-node alignment takes the assignment warm
+    # start, which needs scipy's compiled _lsap but not scipy.optimize.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                          os.environ.get("PYTHONPATH")]))
+    code = (
+        "import random, sys\n"
+        "from abscon.matching import CostModel, match\n"
+        "from genutil import noisy_candidate, random_flowchart\n"
+        "rng = random.Random(4)\n"
+        "truth = random_flowchart(rng, 12)\n"
+        "result = match(noisy_candidate(rng, truth, 'flowchart'), truth, CostModel())\n"
+        "assert result.node_map\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.optimize._lsap') if m in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "['scipy.optimize._lsap']"
