@@ -29,7 +29,7 @@ from .errors import (
 from .graph import ACTIVITY, CONCEPT, DECISION, Edge, LabeledGraph, Node, NodeKind, normalize_label
 from .matching import CostModel, MatchResult, exhaustive_match, match
 from .notation import Notation, ParsedCandidate, extract_code_block, parse, serialize
-from .similarity import SimilarityMode, builtin_embed, node_similarity, relation_match
+from .similarity import SimilarityMode, builtin_embed, node_similarity
 
 __all__ = [
     "ACTIVITY",
@@ -77,7 +77,6 @@ __all__ = [
     "normalize_label",
     "parse",
     "profile",
-    "relation_match",
     "serialize",
     "solve",
     "weights",

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .domains import DomainProfile
-from .graph import LabeledGraph, NodeKind, normalize_label
+from .graph import LabeledGraph, NodeKind, edge_key
 from .matching import CostModel, match
 
 
@@ -27,7 +27,7 @@ class PartialElement:
         return min(self.labels.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-EdgeKey = tuple[str, str, str]  # (source element id, target element id, normalized label)
+EdgeKey = tuple[str, str, str]  # graph.edge_key over element ids
 
 
 @dataclass
@@ -55,9 +55,7 @@ class PartialModel:
         for elem_id, elem in self.nodes.items():
             g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
         for (src, tgt, _), elem in self.edges.items():
-            label = elem.representative_label
-            if not g.has_edge(src, tgt, label):
-                g.add_edge(src, tgt, label)
+            g.add_edge(src, tgt, elem.representative_label)
         return g
 
     def size(self) -> int:
@@ -99,8 +97,7 @@ class PartialModel:
             if row["id"].startswith("p") and row["id"][1:].isdigit():
                 max_suffix = max(max_suffix, int(row["id"][1:]))
         for row in data["edges"]:
-            any_label = next(iter(row["labels"]))
-            key = (row["source"], row["target"], normalize_label(any_label))
+            key = edge_key(row["source"], row["target"], next(iter(row["labels"])))
             model.edges[key] = PartialElement(row["count"], Counter(row["labels"]))
         model._next_id = max_suffix + 1
         return model
@@ -131,8 +128,7 @@ def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialM
         node = first.nodes[node_id]
         seed_map[node_id] = model.new_node(node.label, node.kind)
     for edge in first.edges:
-        key = (seed_map[edge.source], seed_map[edge.target],
-               normalize_label(edge.label, profile.case_sensitive_labels))
+        key = edge_key(seed_map[edge.source], seed_map[edge.target], edge.label)
         model.edges[key] = PartialElement(1, Counter({edge.label: 1}))
 
     for candidate in ordered[1:]:
@@ -146,8 +142,7 @@ def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialM
             else:
                 node_map[node_id] = model.new_node(node.label, node.kind)
         for edge in candidate.edges:
-            key = (node_map[edge.source], node_map[edge.target],
-                   normalize_label(edge.label, profile.case_sensitive_labels))
+            key = edge_key(node_map[edge.source], node_map[edge.target], edge.label)
             if key in model.edges:
                 model.edges[key].add(edge.label)
             else:
@@ -164,7 +159,5 @@ def mlc(partial: PartialModel) -> LabeledGraph:
             g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
     for (src, tgt, _), elem in partial.edges.items():
         if elem.count * 2 > partial.n_candidates and src in g.nodes and tgt in g.nodes:
-            label = elem.representative_label
-            if not g.has_edge(src, tgt, label):
-                g.add_edge(src, tgt, label)
+            g.add_edge(src, tgt, elem.representative_label)
     return g

@@ -670,11 +670,10 @@ def solve(problem: ConstraintProblem, timeout: float = 60.0) -> Solution:
 
 
 def _profile_for_problem(problem: ConstraintProblem) -> DomainProfile:
-    kinds = {g.kind for g in problem.global_cs}
-    overrides = {"case_sensitive_labels": problem.case_sensitive}
     if problem.domain == "taxonomy":
-        overrides["taxonomy_require_connected"] = "reachable_from_source" in kinds
-    return make_profile(problem.domain, **overrides)
+        connected = any(g.kind == "reachable_from_source" for g in problem.global_cs)
+        return make_profile(problem.domain, taxonomy_require_connected=connected)
+    return make_profile(problem.domain)
 
 
 def brute_force(problem: ConstraintProblem) -> Solution:

@@ -12,7 +12,7 @@ from . import clevr as clevr_ops
 from .abstraction import PartialModel
 from .domains import CLEVR, FLOWCHART, TAXONOMY, DomainProfile
 from .errors import UnknownDomain
-from .graph import DECISION, LabeledGraph, NodeKind, normalize_label
+from .graph import DECISION, LabeledGraph, NodeKind, edge_key
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -65,7 +65,6 @@ class ConstraintProblem:
     linear: list[LinearConstraint] = field(default_factory=list)
     global_cs: list[GlobalConstraint] = field(default_factory=list)
     weights: dict[str, float] = field(default_factory=dict)
-    case_sensitive: bool = False
 
     @property
     def variables(self) -> list[str]:
@@ -111,8 +110,7 @@ class ConstraintProblem:
                 tgt = self.nodes[ev.target].elem_id
                 if src not in g.nodes or tgt not in g.nodes:
                     return None
-                if not g.has_edge(src, tgt, ev.label):
-                    g.add_edge(src, tgt, ev.label)
+                g.add_edge(src, tgt, ev.label)
         return g
 
 
@@ -212,7 +210,7 @@ def global_holds(
 def build_problem(partial: PartialModel, profile: DomainProfile) -> ConstraintProblem:
     if profile.name not in (FLOWCHART, TAXONOMY, CLEVR):
         raise UnknownDomain(profile.name)
-    problem = ConstraintProblem(domain=profile.name, case_sensitive=profile.case_sensitive_labels)
+    problem = ConstraintProblem(domain=profile.name)
     for elem_id, elem in partial.nodes.items():
         var = f"n:{elem_id}"
         problem.nodes[var] = NodeVar(var, elem_id, elem.kind, elem.representative_label)
@@ -346,23 +344,18 @@ class ConsistencyReport:
 def check(graph: LabeledGraph, profile: DomainProfile) -> ConsistencyReport:
     """Evaluate every domain constraint directly on a concrete graph."""
     if profile.name == FLOWCHART:
-        violations = _check_flowchart(graph, profile)
+        violations = _check_flowchart(graph)
     elif profile.name == TAXONOMY:
         violations = _check_taxonomy(graph, profile)
     elif profile.name == CLEVR:
-        violations = _check_clevr(graph, profile)
+        violations = _check_clevr(graph)
     else:
         raise UnknownDomain(profile.name)
     return ConsistencyReport(not violations, violations)
 
 
-def _structure(graph: LabeledGraph, profile: DomainProfile):
-    nodes = set(graph.nodes)
-    edges = [
-        (e.source, e.target, normalize_label(e.label, profile.case_sensitive_labels))
-        for e in graph.edges
-    ]
-    return nodes, edges
+def _structure(graph: LabeledGraph):
+    return set(graph.nodes), [edge_key(e.source, e.target, e.label) for e in graph.edges]
 
 
 def _edge_name(triple: tuple[str, str, str]) -> str:
@@ -370,8 +363,8 @@ def _edge_name(triple: tuple[str, str, str]) -> str:
     return f"{s}->{t}" + (f"[{l}]" if l else "")
 
 
-def _check_flowchart(graph: LabeledGraph, profile: DomainProfile) -> list[Violation]:
-    nodes, edges = _structure(graph, profile)
+def _check_flowchart(graph: LabeledGraph) -> list[Violation]:
+    nodes, edges = _structure(graph)
     violations = []
     sources = source_nodes(nodes, edges)
     if len(sources) != 1:
@@ -395,7 +388,7 @@ def _check_flowchart(graph: LabeledGraph, profile: DomainProfile) -> list[Violat
 
 
 def _check_taxonomy(graph: LabeledGraph, profile: DomainProfile) -> list[Violation]:
-    nodes, edges = _structure(graph, profile)
+    nodes, edges = _structure(graph)
     violations = []
     cyclic = find_cycle(nodes, edges)
     if cyclic:
@@ -414,8 +407,8 @@ def _check_taxonomy(graph: LabeledGraph, profile: DomainProfile) -> list[Violati
     return violations
 
 
-def _check_clevr(graph: LabeledGraph, profile: DomainProfile) -> list[Violation]:
-    nodes, edges = _structure(graph, profile)
+def _check_clevr(graph: LabeledGraph) -> list[Violation]:
+    nodes, edges = _structure(graph)
     violations = []
     cyclic = find_cycle(nodes, edges)
     if cyclic:

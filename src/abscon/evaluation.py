@@ -18,7 +18,7 @@ from .concretize import concretize
 from .constraints import check
 from .domains import CLEVR, DomainProfile
 from .errors import InfeasibleModel
-from .graph import ACTIVITY, LabeledGraph, normalize_label
+from .graph import ACTIVITY, LabeledGraph, edge_key, normalize_label
 from .notation import display_label
 
 METHODS = ("greedy", "mv", "esc", "escf", "abscon")
@@ -33,10 +33,11 @@ class RelationTriple(NamedTuple):
 def relation_triples(graph: LabeledGraph, case_sensitive: bool = False) -> set[RelationTriple]:
     triples = set()
     for edge in graph.edges:
+        source, target, label = edge_key(edge.source, edge.target, edge.label)
         triples.add(RelationTriple(
-            normalize_label(display_label(graph.nodes[edge.source]), case_sensitive),
-            normalize_label(display_label(graph.nodes[edge.target]), case_sensitive),
-            normalize_label(edge.label, case_sensitive),
+            normalize_label(display_label(graph.nodes[source]), case_sensitive),
+            normalize_label(display_label(graph.nodes[target]), case_sensitive),
+            label,
         ))
     return triples
 
@@ -132,9 +133,7 @@ def majority_vote(candidates: Sequence[LabeledGraph], case_sensitive: bool = Fal
         return ids[label]
 
     for t in kept:
-        src, tgt = node_for(t.source), node_for(t.target)
-        if not result.has_edge(src, tgt, t.label):
-            result.add_edge(src, tgt, t.label)
+        result.add_edge(node_for(t.source), node_for(t.target), t.label)
     for label, votes in sorted(label_votes.items()):
         if 2 * votes > n and label not in ids:
             node_for(label)

@@ -23,6 +23,17 @@ def normalize_label(label: str, case_sensitive: bool = False) -> str:
     return text if case_sensitive else text.casefold()
 
 
+def edge_key(source: str, target: str, label: str) -> tuple[str, str, str]:
+    """The identity of an edge: its endpoints and its normalized label.
+
+    Labels are always case-folded here, whatever a profile says about node
+    labels: a graph holds at most one edge per key, so edges whose labels
+    differ only in case or spacing are the same edge everywhere they are
+    counted, matched or checked.
+    """
+    return source, target, normalize_label(label)
+
+
 @dataclass(frozen=True, slots=True)
 class NodeKind:
     kind: str
@@ -88,14 +99,14 @@ class LabeledGraph:
             raise UnknownNode(source)
         if target not in self.nodes:
             raise UnknownNode(target)
-        key = (source, target, normalize_label(label))
+        key = edge_key(source, target, label)
         if key in self._edge_keys:
             raise DuplicateEdge(str(key))
         self._edge_keys.add(key)
         self.edges.append(Edge(source, target, label))
 
     def has_edge(self, source: str, target: str, label: str = "") -> bool:
-        return (source, target, normalize_label(label)) in self._edge_keys
+        return edge_key(source, target, label) in self._edge_keys
 
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
@@ -105,10 +116,6 @@ class LabeledGraph:
 
     def in_edges(self, node_id: str) -> list[Edge]:
         return [e for e in self.edges if e.target == node_id]
-
-    def edge_keys(self) -> set[tuple[str, str, str]]:
-        """Set of (source, target, normalized label) triples."""
-        return set(self._edge_keys)
 
     def __len__(self) -> int:
         return len(self.nodes)

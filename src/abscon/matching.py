@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import TooLarge
-from .graph import LabeledGraph, Node, normalize_label
+from .graph import LabeledGraph, Node, edge_key
 from .similarity import EmbeddingProvider, SimilarityMode, similarity_matrix
 
 if TYPE_CHECKING:
@@ -68,9 +68,8 @@ class _Instance:
         rows, cols = np.nonzero(np.isfinite(self.sub))
         for i, j, value in zip(rows.tolist(), cols.tolist(), self.sub[rows, cols].tolist()):
             self.choices[self.cand_ids[i]][self.base_ids[j]] = value
-        norm = lambda l: normalize_label(l, cost.case_sensitive)
-        self.cand_edges = [(e.source, e.target, norm(e.label)) for e in candidate.edges]
-        self.base_edge_set = {(e.source, e.target, norm(e.label)) for e in base.edges}
+        self.cand_edges = [edge_key(e.source, e.target, e.label) for e in candidate.edges]
+        self.base_edge_set = {edge_key(e.source, e.target, e.label) for e in base.edges}
         self.n_base_edges = len(base.edges)
         self.incident = {c: [] for c in self.cand_ids}
         for edge in self.cand_edges:

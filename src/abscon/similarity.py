@@ -1,7 +1,7 @@
 """Label and element similarity used by graph matching.
 
 Node labels are compared either by exact (normalized) match or by cosine
-similarity of text embeddings. Relations are always compared exactly.
+similarity of text embeddings. Edges are compared by graph.edge_key.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import os
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .errors import ProviderFailure
-from .graph import Edge, Node, NodeKind, normalize_label
+from .graph import Node, NodeKind, normalize_label
 
 try:  # hashlib's md5 maps OpenSSL's libcrypto: about 3.6 MB more resident memory
     from _md5 import md5
@@ -146,7 +146,8 @@ def similarity_matrix(
     0 whenever the node kinds differ, 1 for equal normalized labels; other
     pairs score 0 in exact mode and the clipped cosine of their label
     embeddings otherwise (0 against a zero vector). All embeddings come from
-    a single provider call over the distinct labels that need one.
+    a single provider call over the distinct labels that need one; without a
+    provider, from the builtin embedding, uncached.
     """
     import numpy as np
 
@@ -172,7 +173,7 @@ def similarity_matrix(
     rows = np.flatnonzero(pending.any(axis=1))
     cols = np.flatnonzero(pending.any(axis=0))
     texts = sorted({left[i].label for i in rows} | {right[j].label for j in cols})
-    vectors = (provider or _DEFAULT_PROVIDER).embed(texts)
+    vectors = (provider or BuiltinProvider()).embed(texts)
     vector_of = dict(zip(texts, vectors))
     a = np.array([vector_of[left[i].label] for i in rows], dtype=float)
     b = np.array([vector_of[right[j].label] for j in cols], dtype=float)
@@ -199,13 +200,3 @@ def node_similarity(
 ) -> float:
     """Similarity in [0, 1]; 0 whenever the node kinds differ."""
     return float(similarity_matrix([a], [b], mode, provider, case_sensitive)[0, 0])
-
-
-def relation_match(e1: Edge, e2: Edge, node_map: dict[str, str], case_sensitive: bool = False) -> bool:
-    """Exact relation match: mapped endpoints coincide and labels are equal."""
-    if node_map.get(e1.source) != e2.source or node_map.get(e1.target) != e2.target:
-        return False
-    return normalize_label(e1.label, case_sensitive) == normalize_label(e2.label, case_sensitive)
-
-
-_DEFAULT_PROVIDER = CachingProvider(BuiltinProvider())

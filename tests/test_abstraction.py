@@ -4,13 +4,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscon.abstraction import PartialModel, abstract, mlc
-from abscon.constraints import check
+from abscon.concretize import solve, weights
+from abscon.constraints import build_problem, check
 from abscon.domains import profile
 from abscon.graph import ACTIVITY, LabeledGraph
 from abscon.llm import load_candidates
-from genutil import build_graph, clone, graph_signature, random_flowchart
+from genutil import build_graph, candidate_pool, clone, graph_signature, random_flowchart
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,3 +140,43 @@ def test_json_round_trip():
     assert set(back.edges) == set(model.edges)
     for key, elem in model.edges.items():
         assert back.edges[key].labels == elem.labels
+
+
+def _recased(rng: random.Random, g: LabeledGraph) -> LabeledGraph:
+    """A copy whose edge labels are each lower-, upper- or title-cased."""
+    cases = [str.lower, str.upper, str.capitalize]
+    return build_graph([(n.id, n.label, n.kind) for n in g.nodes.values()],
+                       [(e.source, e.target, rng.choice(cases)(e.label)) for e in g.edges])
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 9), size=st.integers(2, 5),
+       case_sensitive=st.booleans())
+def test_edge_identity_survives_reload_and_concretization(seed, n_nodes, size, case_sensitive):
+    # Edges differing only in the case of their label are one element in
+    # every mode: the same keys after a JSON round trip, and one graph edge
+    # per selected edge variable.
+    rng = random.Random(seed)
+    pool = candidate_pool(rng, random_flowchart(rng, n_nodes), "flowchart", size)
+    prof = profile("flowchart", case_sensitive_labels=case_sensitive)
+    partial = abstract([_recased(rng, g) for g in pool], prof)
+
+    back = PartialModel.from_json(partial.to_json())
+    assert list(back.edges) == list(partial.edges)
+    for key, elem in partial.edges.items():
+        assert (back.edges[key].count, back.edges[key].labels) == (elem.count, elem.labels)
+
+    problem = build_problem(partial, prof)
+    problem.weights = weights(partial)
+    best = solve(problem, timeout=30.0).assignment
+    if best is None:
+        return
+    selected = {v for v in problem.nodes if best[v]}
+    open_edges = [v for v, e in problem.edges.items()
+                  if problem.fixed.get(v) != 0 and {e.source, e.target} <= selected]
+    widened = [dict(best, **{v: 1 for v in open_edges}),
+               dict(best, **{v: 1 for v in open_edges if rng.random() < 0.5})]
+    for assignment in [best] + widened:
+        if problem.satisfied(assignment):
+            graph = problem.induced_graph(assignment)
+            assert len(graph.edges) == sum(assignment[v] for v in problem.edges)

@@ -53,6 +53,29 @@ def test_abstract_then_concretize_stages(tmp_path):
     assert "Update ledger" not in (stage2 / "final.mmd").read_text()
 
 
+def test_case_sensitive_stages_write_what_pipeline_writes(tmp_path):
+    # Two of three candidates write the decision arm as "Yes": a partial
+    # model written by abstract and read back by concretize must keep that
+    # count, as the in-memory one in pipeline does.
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    for i, arm in enumerate(["Yes", "Yes", "yes"]):
+        (pool / f"candidate_{i}.mmd").write_text(
+            "flowchart TD\nA[Receive order] --> B{In stock?}\n"
+            f"B -->|{arm}| C[Ship order]\nB -->|no| D[Reorder stock]\n"
+        )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"case_sensitive_labels": True}))
+    common = ["--domain", "flowchart", "--config", str(config)]
+    assert main(["pipeline", *common, "--candidates", str(pool), "--out", str(tmp_path / "p")]) == 0
+    assert main(["abstract", *common, "--candidates", str(pool), "--out", str(tmp_path / "s1")]) == 0
+    assert main(["concretize", *common, "--partial", str(tmp_path / "s1" / "partial.json"),
+                 "--out", str(tmp_path / "s2")]) == 0
+    final = (tmp_path / "p" / "final.mmd").read_text()
+    assert "|Yes|" in final
+    assert (tmp_path / "s2" / "final.mmd").read_text() == final
+
+
 def test_check_consistent_and_inconsistent(tmp_path, capsys):
     assert main(["check", "--domain", "flowchart", str(DATA / "fig2_reference.mmd")]) == 0
     report = json.loads(capsys.readouterr().out)

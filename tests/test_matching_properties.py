@@ -82,7 +82,7 @@ def _reference_similarity(a: Node, b: Node, mode, provider, case_sensitive) -> f
     return min(1.0, max(0.0, cosine(va, vb)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(left=nodes("c"), right=nodes("b"), mode=st.sampled_from(list(SimilarityMode)),
        provider=providers, case_sensitive=st.booleans(), tau=st.sampled_from(TAUS))
 def test_matrices_agree_with_scalar_similarity(left, right, mode, provider, case_sensitive, tau):
@@ -140,7 +140,7 @@ def _random_move(rng: random.Random, inst: _Instance, node_map: dict[str, str]):
     return {c: rng.choice(free) if free else None}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(SimilarityMode)),
        tau=st.sampled_from(TAUS), case_sensitive=st.booleans())
 def test_move_delta_equals_full_cost_difference(seed, mode, tau, case_sensitive):
@@ -164,7 +164,7 @@ def test_move_delta_equals_full_cost_difference(seed, mode, tau, case_sensitive)
         node_map = trial
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_heuristic_match_makes_at_most_one_embed_call(seed):
     rng = random.Random(seed)

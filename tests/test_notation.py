@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscon.clevr import clevr_op
 from abscon.errors import IncompatibleNotation, ModelSyntaxError
@@ -144,3 +146,26 @@ def test_round_trip_property(notation, generator):
         back = parse(text, notation).graph
         assert graph_signature(back) == graph_signature(g)
         assert serialize(back, notation) == text
+
+
+# Fragments of each notation's syntax, so that generated texts get past the
+# header and line patterns into the graph-building code.
+SYNTAX = {
+    Notation.MERMAID_FLOWCHART: ["flowchart TD", "flowchart LR", "\n", " ", "-->", "|", "[", "]",
+                                 "{", "}", "A", "b_2", "yes", "Yes ", "%%", ";", "é"],
+    Notation.TAXONOMY_EDGES: ["->", "-", ">", "\n", " ", "#", "animal", "Dog", "dog ", ":", "é"],
+    Notation.CLEVR_PROGRAM: ["n0", "n1", ":", " ", "\n", "#", "(", ")", ",", "[", "]", "scene",
+                             "filter_color", "red", "count", "relate", "left", "equal_integer",
+                             "unique", "query_shape", "bogus"],
+}
+
+
+@settings(max_examples=500)
+@given(notation=st.sampled_from(list(Notation)), data=st.data())
+def test_parse_raises_only_syntax_errors(notation, data):
+    soup = st.lists(st.sampled_from(SYNTAX[notation]), max_size=40).map("".join)
+    text = data.draw(st.one_of(st.text(max_size=200), soup))
+    try:
+        parse(text, notation)
+    except ModelSyntaxError:
+        pass

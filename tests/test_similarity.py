@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from abscon.errors import ProviderFailure
-from abscon.graph import ACTIVITY, DECISION, Edge, Node, normalize_label
+from abscon.graph import ACTIVITY, DECISION, Node, normalize_label
 from abscon.similarity import (
     EMBED_DIM,
     CachingProvider,
@@ -18,7 +18,6 @@ from abscon.similarity import (
     builtin_embed,
     cosine,
     node_similarity,
-    relation_match,
 )
 
 
@@ -89,14 +88,6 @@ def test_node_similarity_embedding_symmetric_in_range():
     assert s1 == s2
     assert 0.0 < s1 < 1.0
     assert node_similarity(a, a, SimilarityMode.EMBEDDING) == 1.0
-
-
-def test_relation_match():
-    e1 = Edge("a", "b", "yes")
-    e2 = Edge("x", "y", " Yes ")
-    assert relation_match(e1, e2, {"a": "x", "b": "y"})
-    assert not relation_match(e1, Edge("x", "y", "no"), {"a": "x", "b": "y"})
-    assert not relation_match(e1, e2, {"b": "y"})  # unmapped source
 
 
 class _StubEmbedHandler(BaseHTTPRequestHandler):

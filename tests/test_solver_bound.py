@@ -81,7 +81,7 @@ def _completions(solver):
     return out
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(
     seed=st.integers(0, 2**32 - 1),
     domain=st.sampled_from(["flowchart", "taxonomy", "clevr"]),
@@ -115,7 +115,7 @@ def test_dense_taxonomy_is_proven_within_a_node_cap():
     assert 0 < solution.nodes_explored <= 2 * 1299
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     seed=st.integers(0, 2**32 - 1),
     domain=st.sampled_from(["flowchart", "taxonomy"]),
