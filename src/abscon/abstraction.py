@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .domains import DomainProfile
+from .errors import AbsconError, UnknownNode
 from .graph import LabeledGraph, NodeKind, edge_key
 from .matching import CostModel, match
 
@@ -87,19 +88,39 @@ class PartialModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PartialModel":
+        """Read what to_json writes. Edge rows that share an edge key are
+        summed, which is exact: a candidate contributes to at most one of
+        them. A dangling edge endpoint raises UnknownNode; a missing field,
+        a duplicate node id, or an element whose label histogram is empty,
+        or whose count is not the histogram's total or lies outside
+        1..n_candidates, raises AbsconError."""
         data = json.loads(text)
-        model = cls(n_candidates=data["n_candidates"])
-        max_suffix = -1
-        for row in data["nodes"]:
-            kind_data = row["kind"]
-            kind = NodeKind(kind_data["kind"], kind_data.get("op"), kind_data.get("param"))
-            model.nodes[row["id"]] = PartialElement(row["count"], Counter(row["labels"]), kind)
-            if row["id"].startswith("p") and row["id"][1:].isdigit():
-                max_suffix = max(max_suffix, int(row["id"][1:]))
-        for row in data["edges"]:
-            key = edge_key(row["source"], row["target"], next(iter(row["labels"])))
-            model.edges[key] = PartialElement(row["count"], Counter(row["labels"]))
-        model._next_id = max_suffix + 1
+        try:
+            model = cls(n_candidates=data["n_candidates"])
+            for row in data["nodes"]:
+                if not isinstance(row["id"], str) or row["id"] in model.nodes:
+                    raise AbsconError(f"partial model: bad or duplicate node id {row['id']!r}")
+                kind = row["kind"]
+                model.nodes[row["id"]] = PartialElement(
+                    row["count"], Counter(row["labels"]),
+                    NodeKind(kind["kind"], kind.get("op"), kind.get("param")))
+            for row in data["edges"]:
+                for end in (row["source"], row["target"]):
+                    if end not in model.nodes:
+                        raise UnknownNode(f"partial model: edge endpoint {end!r} is not a node")
+                key = edge_key(row["source"], row["target"], next(iter(row["labels"]), ""))
+                elem = model.edges.setdefault(key, PartialElement(0))
+                elem.count += row["count"]
+                elem.labels.update(row["labels"])
+            for name, elem in [*model.nodes.items(), *model.edges.items()]:
+                total = sum(elem.labels.values())
+                if not elem.labels or elem.count != total or not 1 <= total <= model.n_candidates:
+                    raise AbsconError(f"partial model: element {name!r} has count {elem.count} and"
+                                      f" {total} labels in {model.n_candidates} candidates")
+        except (KeyError, TypeError) as exc:
+            raise AbsconError(f"partial model: missing or malformed field {exc}") from None
+        ids = [int(i[1:]) for i in model.nodes if i.startswith("p") and i[1:].isdigit()]
+        model._next_id = max(ids, default=-1) + 1
         return model
 
 

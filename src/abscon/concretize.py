@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 from .abstraction import PartialModel
 from .constraints import (
-    EQ,
     GE,
     LE,
     ConstraintProblem,
     build_problem,
     check,
+    edge_var,
+    node_var,
+    source_kind_ok,
 )
-from .domains import DomainProfile, profile as make_profile
+from .domains import DomainProfile
 from .errors import InfeasibleModel, TooLarge
 from .graph import LabeledGraph
 
@@ -38,18 +40,6 @@ class Solution:
     objective: float
     status: str
     nodes_explored: int = 0
-
-    @property
-    def feasible(self) -> bool:
-        return self.assignment is not None
-
-
-def node_var(elem_id: str) -> str:
-    return f"n:{elem_id}"
-
-
-def edge_var(key: tuple[str, str, str]) -> str:
-    return f"e:{key[0]}|{key[1]}|{key[2]}"
 
 
 def weights(partial: PartialModel, epsilon: float | None = None) -> dict[str, float]:
@@ -130,7 +120,7 @@ class _Solver:
     The bound charges every edge to its target, or to its source when the
     source has a minimum out-degree (a flowchart decision). Under
     single_source each selected node but one (the root) has at least one
-    selected in-edge, and at most as many as its in-degree row allows. So a
+    selected in-edge, and at most as many as its stated in-degree limit. So a
     node's term is its weight plus its best admissible choice of the edges
     charged to it (clipped at 0 while the node is free), and the best root
     waiver (root term minus that term) is added once.
@@ -155,7 +145,6 @@ class _Solver:
         self.single_source = "single_source" in kinds
         self.single_sink = "single_sink" in kinds
         self.reachable = "reachable_from_source" in kinds
-        self.scene_source = "source_kind_is" in kinds
 
         # Nodes get positions 0..n-1; edges carry their endpoints' positions.
         self.node_vi = [self.index[v] for v in problem.nodes]
@@ -180,26 +169,22 @@ class _Solver:
             self.out_adj[sp].append((e, tp))
         self.n_in = [len(es) for es in self.in_edges]
         self.n_out = [len(es) for es in self.out_adj]
-        self.bad_root = [
-            not (nv.kind.is_clevr and nv.kind.op == "scene") for nv in problem.nodes.values()
-        ]
 
-        # Linear rows. A link row (edge <= endpoint) propagates exactly like
-        # the explicit node/edge rules in propagate(), so it is left to them.
-        # Rows over one node's in- or out-edges give the bound its degree
-        # limits (_note_degree_row).
+        # What the problem states about each node: whether it may be the
+        # source, and its degree limits.
+        nodes = list(problem.nodes.values())
+        source_kinds = [g.param for g in problem.global_cs if g.kind == "source_kind_is"]
+        self.bad_root = [not all(source_kind_ok(nv.kind, k) for k in source_kinds) for nv in nodes]
+        self.cap_in = [c if nv.max_in is None else min(c, nv.max_in) for c, nv in zip(self.n_in, nodes)]
+        self.min_out = [nv.min_out for nv in nodes]
+        min_in = [nv.min_in for nv in nodes]
+
         self.rows: list[tuple[list[tuple[int, int]], str, int, int]] = []
         self.row_lo: list[int] = []
         self.row_hi: list[int] = []
         self.watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n_vars)]
-        self.cap_in = list(self.n_in)
-        min_in = [0] * n
-        self.min_out = [0] * n
         for lc in problem.linear:
             terms = [(c, self.index[v]) for c, v in lc.terms]
-            if self._is_link(terms, lc.relation, lc.bound):
-                continue
-            self._note_degree_row(terms, lc.relation, lc.bound, min_in)
             ci = len(self.rows)
             max_c = max((abs(c) for c, _ in terms), default=0)
             self.rows.append((terms, lc.relation, lc.bound, max_c))
@@ -256,34 +241,6 @@ class _Solver:
         self.best_count = -1
         self.nodes_explored = 0
         self.timed_out = False
-
-    def _is_link(self, terms, relation, bound) -> bool:
-        if relation != LE or bound != 0 or len(terms) != 2:
-            return False
-        (c1, e), (c2, node) = terms
-        ends = self.ends[e]
-        return c1 == 1 and c2 == -1 and ends is not None and node in ends[:2]
-
-    def _note_degree_row(self, terms, relation, bound, min_in) -> None:
-        """Read a node's in-degree cap (<=), exact in-degree (=) or minimum
-        out-degree (>=) from a row over its in- or out-edges at +1 and the
-        node at -k."""
-        if bound != 0:
-            return
-        heads = [(c, vi) for c, vi in terms if c < 0 and self.pos[vi] >= 0]
-        if len(heads) != 1:
-            return
-        p = self.pos[heads[0][1]]
-        if relation == GE:
-            if sorted(terms) == sorted([(1, e) for e, _ in self.out_adj[p]] + heads):
-                self.min_out[p] = max(self.min_out[p], -heads[0][0])
-            return
-        if sorted(terms) != sorted([(1, e) for e in self.in_edges[p]] + heads):
-            return
-        k = -heads[0][0]
-        self.cap_in[p] = min(self.cap_in[p], k)
-        if relation == EQ:
-            min_in[p] = max(min_in[p], k)
 
     # -- assignment machinery
 
@@ -546,7 +503,7 @@ class _Solver:
             # nodes but none that can still be a source.
             if self.n_dsrc > 1 or (self.selected and not self.potential):
                 return True
-        if self.scene_source and self.n_dsrc_bad:
+        if self.n_dsrc_bad:
             return True
         if self.reachable and self.selected and not self._all_reachable():
             return True
@@ -669,18 +626,12 @@ def solve(problem: ConstraintProblem, timeout: float = 60.0) -> Solution:
 # Brute-force oracle
 
 
-def _profile_for_problem(problem: ConstraintProblem) -> DomainProfile:
-    if problem.domain == "taxonomy":
-        connected = any(g.kind == "reachable_from_source" for g in problem.global_cs)
-        return make_profile(problem.domain, taxonomy_require_connected=connected)
-    return make_profile(problem.domain)
-
-
 def brute_force(problem: ConstraintProblem) -> Solution:
     """Enumerate all assignments, filtering with the graph-level checker.
 
     Independent verification path for solve(): the domain rules are applied
-    to the induced concrete graph, not to the encoded constraints.
+    to the induced concrete graph with the problem's own profile, not to the
+    encoded constraints.
     """
     import numpy as np
 
@@ -688,7 +639,6 @@ def brute_force(problem: ConstraintProblem) -> Solution:
     k = len(variables)
     if k > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"brute force is limited to {BRUTE_FORCE_LIMIT} variables")
-    checker_profile = _profile_for_problem(problem)
 
     codes = np.arange(1 << k, dtype=np.int64)
     bits = {v: (codes >> (k - 1 - i)) & 1 for i, v in enumerate(variables)}
@@ -696,6 +646,8 @@ def brute_force(problem: ConstraintProblem) -> Solution:
     mask = np.ones(1 << k, dtype=bool)
     for var, value in problem.fixed.items():
         mask &= bits[var] == value
+    for var, edge in problem.edges.items():
+        mask &= bits[var] <= bits[edge.source] & bits[edge.target]
     for lc in problem.linear:
         lhs = np.zeros(1 << k, dtype=np.int64)
         for c, v in lc.terms:
@@ -719,10 +671,7 @@ def brute_force(problem: ConstraintProblem) -> Solution:
     order = survivors[np.argsort(-weight_vec[survivors], kind="stable")]
     for code in order:
         assignment = {v: int((code >> (k - 1 - i)) & 1) for i, v in enumerate(variables)}
-        graph = problem.induced_graph(assignment)
-        if graph is None:
-            continue
-        if check(graph, checker_profile).consistent:
+        if check(problem.induced_graph(assignment), problem.profile).consistent:
             return Solution(assignment, float(weight_vec[code]), OPTIMAL)
     return Solution(None, -math.inf, INFEASIBLE)
 

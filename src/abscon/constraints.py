@@ -45,6 +45,11 @@ class NodeVar:
     elem_id: str
     kind: NodeKind
     label: str  # representative label
+    # The node's degree row, if any, as limits that hold while it is
+    # selected; max_in None means no cap.
+    min_in: int = 0
+    max_in: int | None = None
+    min_out: int = 0
 
 
 @dataclass
@@ -56,9 +61,17 @@ class EdgeVar:
     norm_label: str
 
 
+def node_var(elem_id: str) -> str:
+    return f"n:{elem_id}"
+
+
+def edge_var(key: tuple[str, str, str]) -> str:
+    return f"e:{key[0]}|{key[1]}|{key[2]}"
+
+
 @dataclass
 class ConstraintProblem:
-    domain: str
+    profile: DomainProfile
     nodes: dict[str, NodeVar] = field(default_factory=dict)
     edges: dict[str, EdgeVar] = field(default_factory=dict)
     fixed: dict[str, int] = field(default_factory=dict)
@@ -177,6 +190,13 @@ def unreachable_from_sources(nodes: set[str], edges: list[tuple[str, str, str]])
     return sorted(n for n in nodes if n not in seen)
 
 
+def source_kind_ok(kind: NodeKind, param: str | None) -> bool:
+    """May a node of this kind be a source under source_kind_is(param)?"""
+    if param == "scene":
+        return kind.is_clevr and kind.op == "scene"
+    return kind.kind == param
+
+
 def global_holds(
     gc: GlobalConstraint,
     nodes: set[str],
@@ -192,14 +212,7 @@ def global_holds(
     if gc.kind == "reachable_from_source":
         return not unreachable_from_sources(nodes, edges)
     if gc.kind == "source_kind_is":
-        for n in source_nodes(nodes, edges):
-            kind = node_kinds[n]
-            if gc.param == "scene":
-                if not (kind.is_clevr and kind.op == "scene"):
-                    return False
-            elif kind.kind != gc.param:
-                return False
-        return True
+        return all(source_kind_ok(node_kinds[n], gc.param) for n in source_nodes(nodes, edges))
     raise ValueError(f"unknown global constraint {gc.kind!r}")
 
 
@@ -210,19 +223,17 @@ def global_holds(
 def build_problem(partial: PartialModel, profile: DomainProfile) -> ConstraintProblem:
     if profile.name not in (FLOWCHART, TAXONOMY, CLEVR):
         raise UnknownDomain(profile.name)
-    problem = ConstraintProblem(domain=profile.name)
+    problem = ConstraintProblem(profile)
     for elem_id, elem in partial.nodes.items():
-        var = f"n:{elem_id}"
+        var = node_var(elem_id)
         problem.nodes[var] = NodeVar(var, elem_id, elem.kind, elem.representative_label)
-    node_var_of = {nv.elem_id: var for var, nv in problem.nodes.items()}
-    for (src, tgt, norm), elem in partial.edges.items():
-        var = f"e:{src}|{tgt}|{norm}"
-        problem.edges[var] = EdgeVar(var, node_var_of[src], node_var_of[tgt],
-                                     elem.representative_label, norm)
+    for key, elem in partial.edges.items():
+        var = edge_var(key)
+        problem.edges[var] = EdgeVar(var, node_var(key[0]), node_var(key[1]),
+                                     elem.representative_label, key[2])
 
-    for var, edge in problem.edges.items():
-        problem.linear.append(LinearConstraint(((1, var), (-1, edge.source)), LE, 0, "link_source"))
-        problem.linear.append(LinearConstraint(((1, var), (-1, edge.target)), LE, 0, "link_target"))
+    # An edge needs both endpoints: satisfied() checks that and the solver
+    # propagates it, so it takes no row.
     problem.linear.append(
         LinearConstraint(tuple((1, v) for v in problem.nodes), GE, 1, "at_least_one_node")
     )
@@ -230,18 +241,33 @@ def build_problem(partial: PartialModel, profile: DomainProfile) -> ConstraintPr
     if profile.name == FLOWCHART:
         _flowchart_constraints(problem)
     elif profile.name == TAXONOMY:
-        _taxonomy_constraints(problem, profile)
+        _taxonomy_constraints(problem)
     else:
         _clevr_constraints(problem)
     return problem
 
 
-def _out_edge_vars(problem: ConstraintProblem, node_var: str) -> list[str]:
-    return [v for v, e in problem.edges.items() if e.source == node_var]
+def _out_edge_vars(problem: ConstraintProblem, nvar: str) -> list[str]:
+    return [v for v, e in problem.edges.items() if e.source == nvar]
 
 
-def _in_edge_vars(problem: ConstraintProblem, node_var: str) -> list[str]:
-    return [v for v, e in problem.edges.items() if e.target == node_var]
+def _in_edge_vars(problem: ConstraintProblem, nvar: str) -> list[str]:
+    return [v for v, e in problem.edges.items() if e.target == nvar]
+
+
+def _degree_row(problem: ConstraintProblem, nvar: str, edge_vars: list[str],
+                relation: str, k: int, name: str) -> None:
+    """Add a node's degree row, sum(edge_vars) - k * node (relation) 0, and
+    record on the node what it states: at least k out-edges for >= over its
+    out-edges; at most k, or exactly k for =, in-edges over its in-edges."""
+    terms = tuple((1, v) for v in edge_vars) + ((-k, nvar),)
+    problem.linear.append(LinearConstraint(terms, relation, 0, name))
+    node = problem.nodes[nvar]
+    if relation == GE:
+        node.min_out = k
+    else:
+        node.max_in = k
+        node.min_in = k if relation == EQ else 0
 
 
 def _flowchart_constraints(problem: ConstraintProblem) -> None:
@@ -253,17 +279,16 @@ def _flowchart_constraints(problem: ConstraintProblem) -> None:
     for nvar, node in problem.nodes.items():
         if node.kind == DECISION:
             out_vars = _out_edge_vars(problem, nvar)
-            terms = tuple((1, v) for v in out_vars) + ((-2, nvar),)
-            problem.linear.append(LinearConstraint(terms, GE, 0, "decision_min_out"))
+            _degree_row(problem, nvar, out_vars, GE, 2, "decision_min_out")
             for evar in out_vars:
                 if problem.edges[evar].norm_label == "":
                     problem.fixed[evar] = 0  # decision arms need a condition
 
 
-def _taxonomy_constraints(problem: ConstraintProblem, profile: DomainProfile) -> None:
+def _taxonomy_constraints(problem: ConstraintProblem) -> None:
     problem.global_cs.append(GlobalConstraint("acyclic"))
     problem.global_cs.append(GlobalConstraint("single_source"))
-    if profile.taxonomy_require_connected:
+    if problem.profile.taxonomy_require_connected:
         problem.global_cs.append(GlobalConstraint("reachable_from_source"))
     for var, edge in problem.edges.items():
         if edge.source == edge.target:
@@ -271,8 +296,7 @@ def _taxonomy_constraints(problem: ConstraintProblem, profile: DomainProfile) ->
     for nvar in problem.nodes:
         in_vars = _in_edge_vars(problem, nvar)
         if in_vars:
-            terms = tuple((1, v) for v in in_vars) + ((-1, nvar),)
-            problem.linear.append(LinearConstraint(terms, LE, 0, "single_parent"))
+            _degree_row(problem, nvar, in_vars, LE, 1, "single_parent")
 
 
 def _clevr_constraints(problem: ConstraintProblem) -> None:
@@ -309,8 +333,7 @@ def _clevr_constraints(problem: ConstraintProblem) -> None:
             problem.fixed[nvar] = 0
             continue
         in_vars = _in_edge_vars(problem, nvar)
-        terms = tuple((1, v) for v in in_vars) + ((-entry.arity, nvar),)
-        problem.linear.append(LinearConstraint(terms, EQ, 0, "arity"))
+        _degree_row(problem, nvar, in_vars, EQ, entry.arity, "arity")
         if entry.arity == 2:
             for pos in ("0", "1"):
                 pos_vars = [v for v in in_vars if problem.edges[v].norm_label == pos]
@@ -431,7 +454,7 @@ def _check_clevr(graph: LabeledGraph) -> list[Violation]:
         violations.append(Violation("operation_kind", tuple(bad_kind)))
         return violations
 
-    non_scene = [n for n in sources if graph.nodes[n].kind.op != "scene"]
+    non_scene = [n for n in sources if not source_kind_ok(graph.nodes[n].kind, "scene")]
     if non_scene:
         violations.append(Violation("source_is_scene", tuple(non_scene)))
 

@@ -108,9 +108,6 @@ class LabeledGraph:
     def has_edge(self, source: str, target: str, label: str = "") -> bool:
         return edge_key(source, target, label) in self._edge_keys
 
-    def node(self, node_id: str) -> Node:
-        return self.nodes[node_id]
-
     def out_edges(self, node_id: str) -> list[Edge]:
         return [e for e in self.edges if e.source == node_id]
 

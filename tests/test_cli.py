@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import abscon
 from abscon.cli import main
 
@@ -74,6 +76,61 @@ def test_case_sensitive_stages_write_what_pipeline_writes(tmp_path):
     final = (tmp_path / "p" / "final.mmd").read_text()
     assert "|Yes|" in final
     assert (tmp_path / "s2" / "final.mmd").read_text() == final
+
+
+def _partial_json(tmp_path, edit=None) -> Path:
+    """A flowchart partial model of three candidates whose "yes" arm is
+    written in two rows, as a case-sensitive run used to write it; edit
+    changes the data before it is written."""
+    def node(elem_id, kind, label):
+        return {"id": elem_id, "kind": {"kind": kind}, "count": 3, "labels": {label: 3}}
+
+    def edge(source, target, count, labels):
+        return {"source": source, "target": target, "count": count, "labels": labels}
+
+    data = {
+        "n_candidates": 3,
+        "nodes": [node("p0", "activity", "Receive order"), node("p1", "decision", "In stock?"),
+                  node("p2", "activity", "Ship order"), node("p3", "activity", "Reorder stock")],
+        "edges": [edge("p0", "p1", 3, {"": 3}), edge("p1", "p2", 2, {"Yes": 2}),
+                  edge("p1", "p2", 1, {"yes": 1}), edge("p1", "p3", 3, {"no": 3})],
+    }
+    if edit:
+        edit(data)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_concretize_sums_rows_that_share_an_edge_key(tmp_path):
+    partial = _partial_json(tmp_path)
+    assert main(["concretize", "--domain", "flowchart", "--partial", str(partial),
+                 "--out", str(tmp_path / "out")]) == 0
+    final = (tmp_path / "out" / "final.mmd").read_text()
+    assert "|Yes|" in final and "|yes|" not in final
+
+
+BAD_PARTIALS = {
+    "dangling_endpoint": lambda d: d["edges"][0].update(source="p9"),
+    "no_n_candidates": lambda d: d.pop("n_candidates"),
+    "no_edge_target": lambda d: d["edges"][3].pop("target"),
+    "empty_labels": lambda d: d["nodes"][2].update(labels={}),
+    "duplicate_node_id": lambda d: d["nodes"][3].update(id="p2"),
+    "count_not_label_total": lambda d: d["nodes"][0].update(count=2),
+    "count_above_n_candidates": lambda d: d["edges"][3].update(count=4, labels={"no": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PARTIALS))
+def test_concretize_rejects_a_bad_partial_model(tmp_path, capsys, name):
+    partial = _partial_json(tmp_path, BAD_PARTIALS[name])
+    assert main(["concretize", "--domain", "flowchart", "--partial", str(partial),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"].startswith("partial model: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_consistent_and_inconsistent(tmp_path, capsys):

@@ -4,14 +4,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscon.abstraction import abstract
 from abscon.clevr import clevr_op
+from abscon.concretize import brute_force, solve, weights
 from abscon.constraints import build_problem, check
 from abscon.domains import profile
 from abscon.errors import UnknownDomain
 from abscon.graph import ACTIVITY, CONCEPT, DECISION, LabeledGraph
-from genutil import build_graph, candidate_pool, random_flowchart, random_taxonomy_tree
+from genutil import (
+    build_graph,
+    candidate_pool,
+    random_flowchart,
+    random_partial_model,
+    random_taxonomy_tree,
+)
 
 
 def _partial_from(graphs, domain):
@@ -23,13 +32,26 @@ def test_build_problem_two_node_flowchart():
         [("a", "start work", ACTIVITY), ("b", "finish work", ACTIVITY)],
         [("a", "b", "")],
     )
-    problem = build_problem(_partial_from([g], "flowchart"), profile("flowchart"))
+    partial = _partial_from([g, g], "flowchart")  # two candidates: positive weights
+    problem = build_problem(partial, profile("flowchart"))
+    problem.weights = weights(partial)
     assert len(problem.variables) == 3
-    linking = [c for c in problem.linear if c.name.startswith("link_")]
-    assert len(linking) == 2
     kinds = [gc.kind for gc in problem.global_cs]
     assert kinds == ["single_source", "reachable_from_source"]
     assert any(c.name == "at_least_one_node" for c in problem.linear)
+
+    # An edge needs both endpoints by rule, not by an edge <= endpoint row.
+    ((evar, edge),) = problem.edges.items()
+    ends = {(-1, edge.source), (-1, edge.target)}
+    assert not [c for c in problem.linear
+                if len(c.terms) == 2 and (1, evar) in c.terms and ends & set(c.terms)]
+    everything = {v: 1 for v in problem.variables}
+    assert problem.satisfied(everything)
+    for end in (edge.source, edge.target):
+        assert not problem.satisfied(dict(everything, **{end: 0}))
+    fast, slow = solve(problem), brute_force(problem)
+    assert (fast.status, fast.assignment) == (slow.status, slow.assignment)
+    assert fast.objective == pytest.approx(slow.objective, abs=1e-9)
 
 
 def test_flowchart_decision_rules():
@@ -203,3 +225,29 @@ def test_problem_checker_agreement_small(domain, builder):
             graph = problem.induced_graph(assignment)
             rhs = graph is not None and check(graph, prof).consistent
             assert lhs == rhs, (domain, assignment)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), domain=st.sampled_from(["flowchart", "taxonomy", "clevr"]),
+       max_vars=st.integers(3, 12))
+def test_recorded_degree_limits_hold_in_every_satisfying_assignment(seed, domain, max_vars):
+    # The solver's bound reads each node's degree limits from the problem,
+    # so they must hold wherever satisfied() does; and every degree row
+    # records its node's limits.
+    problem = build_problem(random_partial_model(random.Random(seed), domain, max_vars), profile(domain))
+    degree_rows = [c for c in problem.linear if c.name in ("decision_min_out", "single_parent", "arity")]
+    limited = {v: nv for v, nv in problem.nodes.items() if (nv.min_in, nv.max_in, nv.min_out) != (0, None, 0)}
+    assert {c.terms[-1][1] for c in degree_rows} == set(limited)
+    variables = sorted(problem.variables)
+    for bits in itertools.product((0, 1), repeat=len(variables)):
+        assignment = dict(zip(variables, bits))
+        if not problem.satisfied(assignment):
+            continue
+        edges = [e for v, e in problem.edges.items() if assignment[v]]
+        for var, nv in limited.items():
+            if not assignment[var]:
+                continue
+            n_in = sum(e.target == var for e in edges)
+            n_out = sum(e.source == var for e in edges)
+            assert nv.min_in <= n_in and n_out >= nv.min_out, (nv, n_in, n_out)
+            assert nv.max_in is None or n_in <= nv.max_in, (nv, n_in)

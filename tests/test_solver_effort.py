@@ -1,0 +1,63 @@
+"""Search effort is pinned: no instance explores more search nodes than
+recorded.
+
+test_solver_golden pins what solve() selects, but a bound that reads a
+node's degree limits too loosely still reaches the same optimum, only after
+more search nodes. These counts were recorded while the solver still decoded
+those limits from the linear rows; reading them from the problem may explore
+fewer nodes, never more.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from abscon.concretize import INFEASIBLE, OPTIMAL, solve, weights
+from abscon.constraints import build_problem
+from abscon.domains import profile
+from genutil import dense_partial_model
+from test_solver_golden import GOLDEN, _partials
+
+RECORDED = {
+    "random/flowchart": [1, 15, 6, 26, 26, 20, 35, 12, 1, 17, 23, 5, 11, 9, 5, 21, 66, 6, 21, 27,
+                         9, 10, 18, 16, 19, 10, 58, 45, 7, 7],
+    "random/taxonomy": [9, 26, 41, 13, 12, 10, 11, 16, 9, 12, 13, 10, 53, 10, 4, 16, 179, 7, 10, 14,
+                        4, 15, 8, 30, 29, 8, 9, 18, 15, 10],
+    "random/clevr": [0, 0, 14, 3, 3, 0, 0, 1, 5, 0, 3, 3, 0, 4, 0, 1, 9, 6, 1, 1, 0, 4, 1, 1, 3, 1,
+                     0, 6, 2, 4],
+    "fixture/fig2_pool": [9],
+    "fixture/simple_pool": [5],
+    "fixture/infeasible_pool": [1],
+    "fixture/clevr/pool_query": [8],
+    "large": [62937],
+    "dense/flowchart": [122, 96, 731, 74, 82, 123, 72, 80, 71, 84],
+    "dense/taxonomy": [59, 82, 32, 33, 40, 542, 451, 27, 2791, 3465],
+}
+
+GROUPS = [(source, domain) for source, domain, _ in GOLDEN]
+GROUPS += [("dense/flowchart", "flowchart"), ("dense/taxonomy", "taxonomy")]
+
+
+def _group(source: str, domain: str):
+    """The golden groups, plus "dense/<domain>": ten seeded
+    dense_partial_model instances of 12-16 nodes."""
+    if source.startswith("dense/"):
+        return [dense_partial_model(random.Random(f"solver-effort/{domain}/{i}"), domain, 12 + i % 5)
+                for i in range(10)]
+    return _partials(source)
+
+
+@pytest.mark.parametrize("source,domain", GROUPS)
+def test_no_instance_explores_more_nodes_than_recorded(source, domain):
+    explored = []
+    for partial in _group(source, domain):
+        problem = build_problem(partial, profile(domain))
+        problem.weights = weights(partial)
+        solution = solve(problem, timeout=60.0)
+        assert solution.status in (OPTIMAL, INFEASIBLE)
+        explored.append(solution.nodes_explored)
+    recorded = RECORDED[source]
+    assert len(explored) == len(recorded)
+    worse = [(i, got, cap) for i, (got, cap) in enumerate(zip(explored, recorded)) if got > cap]
+    assert not worse, worse
