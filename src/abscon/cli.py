@@ -6,19 +6,17 @@ Exit codes: 0 ok, 1 usage or IO error, 2 infeasible model,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
-from . import clevr as clevr_exec
 from .abstraction import PartialModel, abstract
 from .concretize import concretize
 from .constraints import check
 from .domains import DOMAINS, DomainProfile, profile as make_profile
 from .errors import AbsconError, InfeasibleModel, IoError
-from .evaluation import METHODS, Sample, evaluate_dataset
 from .llm import SamplingConfig, build_bundle, load_candidates, sample_candidates
 from .notation import EXTENSION_FOR, EXTENSIONS, parse, serialize
 
@@ -26,6 +24,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INCONSISTENT = 3
+
+# Thread counts OpenBLAS reads when it loads; a caller who sets one keeps it.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 logger = logging.getLogger(__name__)
 
@@ -184,6 +185,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_exec(args) -> int:
+    from . import clevr as clevr_exec
+
     program = _read_graph(Path(args.program))
     scene = clevr_exec.Scene.from_json(Path(args.scene).read_text(encoding="utf-8"))
     answer = clevr_exec.execute(program, scene)
@@ -192,6 +195,11 @@ def cmd_exec(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import csv
+
+    from . import clevr as clevr_exec
+    from .evaluation import METHODS, Sample, evaluate_dataset
+
     config = _load_config(args)
     manifest_path = Path(args.manifest)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -325,7 +333,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="compare methods over a dataset manifest")
     common(p)
     p.add_argument("manifest")
-    p.add_argument("--method", action="append", choices=METHODS)
+    p.add_argument("--method", action="append",
+                   help="repeatable; defaults to the manifest's methods, else abscon")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
@@ -341,6 +350,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # abscon does no threaded BLAS work (einsum with optimize=False, short
+    # dot products, scipy's _lsap, which links no BLAS), so OpenBLAS's pool
+    # only starts and spins, competing with the main thread on a small
+    # machine. numpy is first imported at the first alignment, after this.
+    if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     logging.basicConfig(level=logging.WARNING)
     parser = _build_parser()
     try:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import clevr as clevr_ops
 from .abstraction import PartialModel
 from .domains import CLEVR, FLOWCHART, TAXONOMY, DomainProfile
 from .errors import UnknownDomain
@@ -300,6 +299,8 @@ def _taxonomy_constraints(problem: ConstraintProblem) -> None:
 
 
 def _clevr_constraints(problem: ConstraintProblem) -> None:
+    from . import clevr as clevr_ops  # the op catalog; other domains never load it
+
     problem.global_cs.append(GlobalConstraint("acyclic"))
     problem.global_cs.append(GlobalConstraint("single_source"))
     problem.global_cs.append(GlobalConstraint("single_sink"))
@@ -431,6 +432,8 @@ def _check_taxonomy(graph: LabeledGraph, profile: DomainProfile) -> list[Violati
 
 
 def _check_clevr(graph: LabeledGraph) -> list[Violation]:
+    from . import clevr as clevr_ops
+
     nodes, edges = _structure(graph)
     violations = []
     cyclic = find_cycle(nodes, edges)

@@ -5,9 +5,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .errors import EmptyPool, EndpointError, IoError, ModelSyntaxError
@@ -58,6 +56,8 @@ class PromptBundle:
 
 
 def _asset(name: str) -> str:
+    from importlib import resources  # only prompt building needs it
+
     return resources.files("abscon.assets").joinpath(name).read_text(encoding="utf-8")
 
 
@@ -117,6 +117,8 @@ def sample_candidates(
     """Issue independent completion requests, persist transcripts, and return
     the syntactically valid candidates. Individual request failures shrink
     the pool; only a fully failed batch raises EndpointError."""
+    from concurrent.futures import ThreadPoolExecutor  # only online sampling needs it
+
     messages = bundle.messages()
     temp = cfg.temperature if temperature is None else temperature
     raw_dir = None

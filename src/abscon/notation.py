@@ -16,7 +16,6 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from . import clevr
 from .errors import IncompatibleNotation, ModelSyntaxError
 from .graph import (
     ACTIVITY,
@@ -259,6 +258,8 @@ _CLV_LINE = re.compile(r"^(\w+)\s*:\s*(\w+)\s*(?:\[([^\]]*)\])?\s*(?:\(([^)]*)\)
 
 
 def _parse_clevr(text: str) -> ParsedCandidate:
+    from . import clevr  # the op catalog; other notations never load it
+
     g = LabeledGraph()
     warnings: list[str] = []
     defs: dict[str, tuple[NodeKind, list[str], int]] = {}

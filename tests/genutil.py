@@ -327,6 +327,8 @@ def dense_partial_model(rng: random.Random, domain: str, n: int):
     around a planted consistent model, every count uniform in 1..5 of 5
     candidates. Many selections score alike, which is where the solver's
     bound is weakest. Needs n >= 5, so that 3n distinct edges exist."""
+    if n < 5:
+        raise ValueError(f"dense_partial_model needs n >= 5, got {n}")
     from collections import Counter
 
     from abscon.abstraction import PartialElement, PartialModel

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,20 @@ import pytest
 
 import abscon
 from abscon.cli import main
+from abscon.notation import Notation, serialize
+from genutil import candidate_pool, random_flowchart
 
 DATA = Path(__file__).parent / "data"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_env(**extra) -> dict:
+    """Environment for a fresh interpreter that imports this checkout, with
+    no BLAS thread count unless one is given in `extra`."""
+    src = str(Path(abscon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, "PYTHONPATH": path, **extra}
 
 
 def test_pipeline_fig2(tmp_path, capsys):
@@ -235,13 +248,47 @@ def test_evaluate_clevr_manifest(tmp_path):
     assert "executed" in header and "accurate" in header
 
 
-def test_cli_import_defers_scipy_and_requests():
-    # A fresh interpreter, since this one may have imported both already.
-    src = str(Path(abscon.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    code = ("import sys, abscon.cli; "
-            "print([m for m in ('scipy.optimize', 'requests') if m in sys.modules])")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+def test_cli_import_defers_scipy_and_requests(monkeypatch):
+    # A fresh interpreter, since this one has imported all of these already.
+    code = ("import os, sys; before = dict(os.environ); import abscon.cli; "
+            "print([m for m in ('numpy', 'scipy.optimize', 'requests', 'abscon.evaluation',"
+            " 'abscon.clevr', 'csv', 'concurrent.futures') if m in sys.modules],"
+            " dict(os.environ) == before)")
+    result = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
                             text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[] True"
+
+    # main(), not the import, pins OpenBLAS to one thread; a caller's count wins.
+    for caller, expected in (({}, {"OPENBLAS_NUM_THREADS": "1"}),
+                             ({"OMP_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"})):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "")  # so that undo restores this process's value
+            monkeypatch.delenv(name)
+        for name, value in caller.items():
+            monkeypatch.setenv(name, value)
+        assert main(["check", "--domain", "flowchart", str(DATA / "fig2_reference.mmd")]) == 0
+        assert {n: os.environ[n] for n in BLAS_THREAD_VARS if n in os.environ} == expected
+
+
+@pytest.mark.parametrize("pool", ["fig2_pool", "generated"])
+def test_pipeline_outputs_do_not_depend_on_blas_threads(tmp_path, pool):
+    candidates = DATA / pool
+    if pool == "generated":
+        # 14-node candidates: above the exact matcher's limit, so the
+        # embedding cosines and the assignment warm start both run.
+        rng = random.Random("blas-threads")
+        candidates = tmp_path / "pool"
+        candidates.mkdir()
+        graphs = candidate_pool(rng, random_flowchart(rng, 14), "flowchart", size=5)
+        for i, graph in enumerate(graphs):
+            (candidates / f"candidate_{i}.mmd").write_text(
+                serialize(graph, Notation.MERMAID_FLOWCHART), encoding="utf-8")
+    outputs = []
+    for i, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / f"out{i}"
+        subprocess.run([sys.executable, "-m", "abscon.cli", "pipeline", "--domain", "flowchart",
+                        "--candidates", str(candidates), "--out", str(out)],
+                       env=_fresh_env(**extra), capture_output=True, timeout=120, check=True)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("partial.json", "final.mmd", "report.json")})
+    assert outputs[0] == outputs[1]

@@ -24,7 +24,7 @@ from abscon.domains import profile
 from abscon.errors import InfeasibleModel, TooLarge
 from abscon.graph import ACTIVITY, DECISION, LabeledGraph
 from abscon.llm import load_candidates
-from genutil import build_graph, graph_signature, random_partial_model
+from genutil import build_graph, dense_partial_model, graph_signature, random_partial_model
 
 from pathlib import Path
 
@@ -224,3 +224,10 @@ def test_solve_path_does_not_import_numpy():
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_dense_partial_model_rejects_too_few_nodes():
+    # A 3-node taxonomy has 6 distinct edges, fewer than the 9 asked for;
+    # without the check the generator would draw edges forever.
+    with pytest.raises(ValueError):
+        dense_partial_model(random.Random(0), "taxonomy", 3)
