@@ -27,9 +27,9 @@ from .errors import (
     UnknownNode,
 )
 from .graph import ACTIVITY, CONCEPT, DECISION, Edge, LabeledGraph, Node, NodeKind, normalize_label
-from .matching import CostModel, MatchResult, exhaustive_match, match
+from .matching import MatchResult, exhaustive_match, match
 from .notation import Notation, ParsedCandidate, extract_code_block, parse, serialize
-from .similarity import SimilarityMode, builtin_embed, node_similarity
+from .similarity import SimilarityMode, builtin_embed
 
 __all__ = [
     "ACTIVITY",
@@ -38,7 +38,6 @@ __all__ = [
     "AbsconError",
     "ConsistencyReport",
     "ConstraintProblem",
-    "CostModel",
     "DomainProfile",
     "DuplicateEdge",
     "Edge",
@@ -73,7 +72,6 @@ __all__ = [
     "extract_code_block",
     "match",
     "mlc",
-    "node_similarity",
     "normalize_label",
     "parse",
     "profile",

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .domains import DomainProfile
 from .errors import AbsconError, UnknownNode
 from .graph import LabeledGraph, NodeKind, edge_key
-from .matching import CostModel, match
+from .matching import match
 
 
 @dataclass(slots=True)
@@ -125,25 +125,13 @@ class PartialModel:
 
 
 def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialModel:
-    """Fold candidates into a partial model, seeding with the first (or the
-    largest, when the profile says so) and matching the rest against the
-    representative-label view."""
+    """Fold candidates into a partial model, seeding with the first and
+    matching the rest against the representative-label view."""
     if not candidates:
         raise ValueError("at least one candidate is required")
-    ordered = list(candidates)
-    if profile.seed_selection == "largest":
-        seed_idx = max(range(len(ordered)), key=lambda i: (len(ordered[i].nodes) + len(ordered[i].edges), -i))
-        ordered.insert(0, ordered.pop(seed_idx))
+    model = PartialModel(n_candidates=len(candidates))
 
-    model = PartialModel(n_candidates=len(ordered))
-    cost = CostModel(
-        mode=profile.similarity_mode,
-        provider=profile.provider,
-        tau=profile.tau,
-        case_sensitive=profile.case_sensitive_labels,
-    )
-
-    first = ordered[0]
+    first = candidates[0]
     seed_map: dict[str, str] = {}
     for node_id in sorted(first.nodes):
         node = first.nodes[node_id]
@@ -152,9 +140,8 @@ def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialM
         key = edge_key(seed_map[edge.source], seed_map[edge.target], edge.label)
         model.edges[key] = PartialElement(1, Counter({edge.label: 1}))
 
-    for candidate in ordered[1:]:
-        base_view = model.view()
-        result = match(candidate, base_view, cost, timeout=profile.match_timeout)
+    for candidate in candidates[1:]:
+        result = match(candidate, model.view(), profile)
         node_map = dict(result.node_map)
         for node_id in sorted(candidate.nodes):
             node = candidate.nodes[node_id]

@@ -139,12 +139,16 @@ class Scene:
 
     @classmethod
     def from_json(cls, text: str) -> "Scene":
+        """Read what to_json writes; a missing or malformed field raises ValueError."""
         data = json.loads(text)
-        objects = [
-            SceneObject(o["id"], o["color"], o["shape"], o["size"], o["material"])
-            for o in data["objects"]
-        ]
-        return cls(objects, data.get("relations", {r: [[] for _ in objects] for r in RELATIONS}))
+        try:
+            objects = [
+                SceneObject(o["id"], o["color"], o["shape"], o["size"], o["material"])
+                for o in data["objects"]
+            ]
+            return cls(objects, data.get("relations", {r: [[] for _ in objects] for r in RELATIONS}))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"scene: missing or malformed field {exc}") from None
 
     def to_json(self) -> str:
         data = {

@@ -47,6 +47,8 @@ def _load_config(args) -> dict:
     config = {}
     if getattr(args, "config", None):
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise IoError(f"config {args.config} must hold a JSON object")
     return config
 
 
@@ -61,8 +63,6 @@ def _profile_from(args, config: dict) -> DomainProfile:
         "solve_timeout",
         "case_sensitive_labels",
         "taxonomy_require_connected",
-        "nonunique_is_error",
-        "seed_selection",
     ):
         if key in config:
             overrides[key] = config[key]
@@ -203,6 +203,8 @@ def cmd_evaluate(args) -> int:
     config = _load_config(args)
     manifest_path = Path(args.manifest)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
+        raise IoError(f"manifest {manifest_path} must be a JSON object with a 'samples' list")
     args.domain = args.domain or manifest.get("domain")
     profile = _profile_from(args, config)
     methods = args.method or manifest.get("methods") or ["abscon"]
@@ -212,7 +214,9 @@ def cmd_evaluate(args) -> int:
 
     samples = []
     base = manifest_path.parent
-    for row in manifest["samples"]:
+    for i, row in enumerate(manifest["samples"]):
+        if not isinstance(row, dict) or "id" not in row or "candidates" not in row:
+            raise IoError(f"manifest {manifest_path}: sample {i} needs an 'id' and 'candidates'")
         candidates, greedy_index = load_candidates(base / row["candidates"], profile.notation)
         sample = Sample(row["id"], [c.graph for c in candidates], greedy_index)
         if "reference" in row:
@@ -235,7 +239,7 @@ def cmd_evaluate(args) -> int:
              "executed", "accurate"]
         )
         for method in methods:
-            report = evaluate_dataset(samples, method, profile, workers=args.workers)
+            report = evaluate_dataset(samples, method, profile)
             aggregates.append(report.aggregate())
             for row in report.rows:
                 writer.writerow(
@@ -336,7 +340,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", action="append",
                    help="repeatable; defaults to the manifest's methods, else abscon")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored: samples run in order")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="sample candidates from the configured endpoint")

@@ -42,20 +42,14 @@ class Solution:
     nodes_explored: int = 0
 
 
-def weights(partial: PartialModel, epsilon: float | None = None) -> dict[str, float]:
-    """Logit weights with probabilities clamped away from 0 and 1.
-
-    The clamp eps defaults to 1/(2 n): unanimous elements stay droppable when
-    constraints demand it, yet remain strictly preferred over majority ones.
-    """
+def weights(partial: PartialModel) -> dict[str, float]:
+    """Logit weights of the clamped probabilities (see _clamped)."""
     if partial.n_candidates < 1:
         raise ValueError("partial model has no candidates")
-    eps = 1.0 / (2 * partial.n_candidates) if epsilon is None else epsilon
     out: dict[str, float] = {}
 
     def logit(count: int) -> float:
-        p = count / partial.n_candidates
-        p = min(max(p, eps), 1.0 - eps)
+        p = _clamped(count, partial.n_candidates)
         return math.log(p) - math.log(1.0 - p)
 
     for elem_id, elem in partial.nodes.items():
@@ -65,19 +59,24 @@ def weights(partial: PartialModel, epsilon: float | None = None) -> dict[str, fl
     return out
 
 
-def bce_objective(partial: PartialModel, assignment: dict[str, int],
-                  epsilon: float | None = None) -> float:
+def bce_objective(partial: PartialModel, assignment: dict[str, int]) -> float:
     """The cross-entropy objective itself (used by equivalence tests)."""
-    eps = 1.0 / (2 * partial.n_candidates) if epsilon is None else epsilon
     total = 0.0
     items = [(node_var(i), e) for i, e in partial.nodes.items()]
     items += [(edge_var(k), e) for k, e in partial.edges.items()]
     for var, elem in items:
-        p = elem.count / partial.n_candidates
-        p = min(max(p, eps), 1.0 - eps)
+        p = _clamped(elem.count, partial.n_candidates)
         x = assignment.get(var, 0)
         total += x * math.log(p) + (1 - x) * math.log(1.0 - p)
     return total
+
+
+def _clamped(count: int, n: int) -> float:
+    """count / n clamped to [eps, 1 - eps] with eps = 1/(2 n): unanimous
+    elements stay droppable when constraints demand it, yet remain strictly
+    preferred over majority ones."""
+    eps = 1.0 / (2 * n)
+    return min(max(count / n, eps), 1.0 - eps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,23 @@ class DomainProfile:
     solve_timeout: float = 60.0
     case_sensitive_labels: bool = False
     taxonomy_require_connected: bool = True
-    nonunique_is_error: bool = True
-    seed_selection: str = "first"  # or "largest"
+
+    def __post_init__(self):
+        # Every profile, overrides included (dataclasses.replace re-runs
+        # this), is checked here, so a bad config value never reaches a stage.
+        if not _is_number(self.tau) or not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"tau must be a number in [0, 1], not {self.tau!r}")
+        for name in ("match_timeout", "solve_timeout"):
+            value = getattr(self, name)
+            if not _is_number(value) or not value >= 0.0:
+                raise ValueError(f"{name} must be a non-negative number, not {value!r}")
+        for name in ("case_sensitive_labels", "taxonomy_require_connected"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def profile(domain: str, **overrides) -> DomainProfile:

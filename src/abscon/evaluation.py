@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import clevr as clevr_exec
 from .abstraction import abstract
@@ -47,11 +46,10 @@ def default_tokenizer(text: str) -> list[str]:
     return re.findall(r"\w+|[^\w\s]", text.lower())
 
 
-def token_overlap(e1: RelationTriple, e2: RelationTriple,
-                  tokenizer: Callable[[str], list[str]] = default_tokenizer) -> float:
+def token_overlap(e1: RelationTriple, e2: RelationTriple) -> float:
     """Jaccard similarity of the token sets of the concatenated triple text."""
-    t1 = set(tokenizer(" ".join(e1)))
-    t2 = set(tokenizer(" ".join(e2)))
+    t1 = set(default_tokenizer(" ".join(e1)))
+    t2 = set(default_tokenizer(" ".join(e2)))
     if not t1 and not t2:
         return 1.0
     if not t1 or not t2:
@@ -270,35 +268,18 @@ def evaluate_sample(sample: Sample, method: str, profile: DomainProfile) -> Samp
             )
         if profile.name == CLEVR and sample.scene is not None:
             answer = clevr_exec.execute(output, sample.scene)
-            row.executed = _execution_ok(answer, profile)
+            row.executed = not isinstance(answer, clevr_exec.ExecError)
             if sample.gold_answer is not None:
                 row.accurate = clevr_exec.answers_equal(answer, sample.gold_answer)
     else:
-        row.executed = _execution_ok(output, profile)
+        row.executed = not isinstance(output, clevr_exec.ExecError)
         row.consistent = row.executed
         if sample.gold_answer is not None:
             row.accurate = clevr_exec.answers_equal(output, sample.gold_answer)
     return row
 
 
-def _execution_ok(answer: clevr_exec.Answer, profile: DomainProfile) -> bool:
-    if not isinstance(answer, clevr_exec.ExecError):
-        return True
-    if answer.reason == "non_unique" and not profile.nonunique_is_error:
-        return True
-    return False
-
-
-def evaluate_dataset(
-    samples: Sequence[Sample],
-    method: str,
-    profile: DomainProfile,
-    workers: int = 1,
-) -> MetricReport:
-    report = MetricReport(method=method, domain=profile.name)
-    if workers <= 1:
-        report.rows = [evaluate_sample(s, method, profile) for s in samples]
-        return report
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        report.rows = list(pool.map(lambda s: evaluate_sample(s, method, profile), samples))
-    return report
+def evaluate_dataset(samples: Sequence[Sample], method: str, profile: DomainProfile) -> MetricReport:
+    """One row per sample, in sample order."""
+    rows = [evaluate_sample(s, method, profile) for s in samples]
+    return MetricReport(method=method, domain=profile.name, rows=rows)

@@ -5,7 +5,8 @@ threshold tau), inserting or deleting a node costs 1, substituting an edge is
 free when the normalized labels agree under the node mapping and forbidden
 otherwise, and inserting or deleting an edge costs 1. Small inputs are solved
 exactly; larger ones use a bipartite assignment warm start refined by local
-search.
+search. The DomainProfile is the only configuration: similarity mode,
+embedding provider, label case, tau and the match timeout.
 """
 from __future__ import annotations
 
@@ -18,31 +19,25 @@ from typing import TYPE_CHECKING
 
 from .errors import TooLarge
 from .graph import LabeledGraph, Node, edge_key
-from .similarity import EmbeddingProvider, SimilarityMode, similarity_matrix
+from .similarity import similarity_matrix
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .domains import DomainProfile
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
 ORACLE_LIMIT = 8
 
 
-@dataclass
-class CostModel:
-    mode: SimilarityMode = SimilarityMode.EMBEDDING
-    provider: EmbeddingProvider | None = None
-    tau: float = 0.5
-    case_sensitive: bool = False
+def sub_matrix(left: list[Node], right: list[Node], profile: DomainProfile) -> np.ndarray:
+    """Node substitution costs 1 - similarity; inf where the similarity is
+    below the profile's tau."""
+    import numpy as np
 
-    def sub_matrix(self, left: list[Node], right: list[Node]) -> np.ndarray:
-        """Node substitution costs; inf where the similarity is below tau."""
-        import numpy as np
-
-        sim = similarity_matrix(left, right, self.mode, self.provider, self.case_sensitive)
-        return np.where(sim < self.tau, math.inf, 1.0 - sim)
-
-    def node_sub(self, a: Node, b: Node) -> float:
-        return float(self.sub_matrix([a], [b])[0, 0])
+    sim = similarity_matrix(left, right, profile.similarity_mode, profile.provider,
+                            profile.case_sensitive_labels)
+    return np.where(sim < profile.tau, math.inf, 1.0 - sim)
 
 
 @dataclass
@@ -55,13 +50,14 @@ class MatchResult:
 class _Instance:
     """Precomputed cost data for one (candidate, base) pair."""
 
-    def __init__(self, candidate: LabeledGraph, base: LabeledGraph, cost: CostModel):
+    def __init__(self, candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile):
         import numpy as np
 
         self.cand_ids = sorted(candidate.nodes)
         self.base_ids = sorted(base.nodes)
-        self.sub = cost.sub_matrix(
-            [candidate.nodes[c] for c in self.cand_ids], [base.nodes[b] for b in self.base_ids]
+        self.sub = sub_matrix(
+            [candidate.nodes[c] for c in self.cand_ids], [base.nodes[b] for b in self.base_ids],
+            profile,
         )
         # Finite substitutions per candidate node, in base id order.
         self.choices = {c: {} for c in self.cand_ids}
@@ -116,32 +112,23 @@ class _Instance:
         return delta - 2 * gained
 
 
-def match(
-    candidate: LabeledGraph,
-    base: LabeledGraph,
-    cost: CostModel | None = None,
-    timeout: float = 5.0,
-) -> MatchResult:
-    """Lowest-cost alignment found within the timeout; deterministic."""
-    cost = cost or CostModel()
-    inst = _Instance(candidate, base, cost)
+def match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile) -> MatchResult:
+    """Lowest-cost alignment found within profile.match_timeout; deterministic."""
+    inst = _Instance(candidate, base, profile)
     if len(inst.cand_ids) <= EXHAUSTIVE_LIMIT and len(inst.base_ids) <= EXHAUSTIVE_LIMIT:
         node_map, total = _exhaustive(inst)
         return MatchResult(node_map, total, optimal=True)
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + profile.match_timeout
     node_map = _assignment_start(inst)
     node_map, total = _refine(inst, node_map, deadline)
     return MatchResult(node_map, total, optimal=False)
 
 
-def exhaustive_match(
-    candidate: LabeledGraph, base: LabeledGraph, cost: CostModel | None = None
-) -> MatchResult:
+def exhaustive_match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile) -> MatchResult:
     """Provably minimal edit cost by enumeration of all partial injections."""
     if len(candidate.nodes) > ORACLE_LIMIT or len(base.nodes) > ORACLE_LIMIT:
         raise TooLarge(f"exhaustive matching is limited to {ORACLE_LIMIT} nodes per side")
-    cost = cost or CostModel()
-    inst = _Instance(candidate, base, cost)
+    inst = _Instance(candidate, base, profile)
     node_map, total = _exhaustive(inst)
     return MatchResult(node_map, total, optimal=True)
 

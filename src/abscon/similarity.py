@@ -190,13 +190,3 @@ def similarity_matrix(
     sim[block] = np.where(pending[block], np.clip(cos, 0.0, 1.0), sim[block])
     return sim
 
-
-def node_similarity(
-    a: Node,
-    b: Node,
-    mode: SimilarityMode = SimilarityMode.EMBEDDING,
-    provider: EmbeddingProvider | None = None,
-    case_sensitive: bool = False,
-) -> float:
-    """Similarity in [0, 1]; 0 whenever the node kinds differ."""
-    return float(similarity_matrix([a], [b], mode, provider, case_sensitive)[0, 0])

@@ -118,17 +118,6 @@ def test_label_histogram_and_distribution():
     assert sum(dist.values()) == pytest.approx(1.0)
 
 
-def test_seed_selection_largest():
-    small = _chain(["one two"])
-    big = _chain(["one two", "three four", "five six"])
-    model = abstract([small, big], profile("flowchart", seed_selection="largest"))
-    # largest candidate seeds the model, so its nodes come first
-    first = next(iter(model.nodes.values()))
-    assert first.representative_label == "one two"
-    assert model.n_candidates == 2
-    assert sum(e.count for e in model.nodes.values()) == 4
-
-
 def test_json_round_trip():
     graphs = load_fig2_graphs()
     model = abstract(graphs, profile("flowchart"))

@@ -292,3 +292,61 @@ def test_pipeline_outputs_do_not_depend_on_blas_threads(tmp_path, pool):
         outputs.append({name: (out / name).read_bytes()
                         for name in ("partial.json", "final.mmd", "report.json")})
     assert outputs[0] == outputs[1]
+
+
+def test_evaluate_workers_flag_changes_nothing(tmp_path):
+    outputs = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"eval{workers}"
+        assert main(["evaluate", str(DATA / "manifest_flowchart.json"), "--method", "greedy",
+                     "--method", "mv", "--method", "abscon", "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("per_sample.csv", "aggregate.json")})
+    assert outputs[0] == outputs[1]
+
+
+def _error_line(capsys) -> str:
+    """The single JSON error line on stderr, which holds no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    return json.loads(line)["error"]
+
+
+@pytest.mark.parametrize("config", [
+    ["flowchart"],
+    {"domain": "flowchart", "tau": "abc"},
+    {"domain": "flowchart", "tau": 1.5},
+    {"domain": "flowchart", "match_timeout": -1},
+    {"domain": "flowchart", "case_sensitive_labels": "yes"},
+], ids=["list", "tau_text", "tau_above_1", "negative_timeout", "toggle_text"])
+def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(path), "--candidates", str(DATA / "fig2_pool"),
+                 "--out", str(tmp_path / "run")]) == 1
+    _error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("manifest", [
+    ["fig2_pool"],
+    {"domain": "flowchart"},
+    {"domain": "flowchart", "samples": [{"candidates": "fig2_pool"}]},
+    {"domain": "flowchart", "samples": [{"id": "orders"}]},
+], ids=["list", "no_samples", "row_without_id", "row_without_candidates"])
+def test_bad_manifest_exits_1_with_one_error_line(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["evaluate", str(path), "--out", str(tmp_path / "eval")]) == 1
+    assert _error_line(capsys).startswith(f"manifest {path}")
+
+
+def test_exec_scene_without_a_field_exits_1_with_one_error_line(tmp_path, capsys):
+    scene = json.loads((DATA / "clevr" / "scene_basic.json").read_text())
+    del scene["objects"][0]["color"]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert main(["exec", str(DATA / "clevr" / "program_query.clv"), str(path)]) == 1
+    assert _error_line(capsys).startswith("scene: ")

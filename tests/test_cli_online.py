@@ -61,6 +61,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{srv.server_address[1]}"
     srv.shutdown()
+    srv.server_close()
 
 
 def test_pipeline_with_sampling(server, tmp_path):

@@ -215,7 +215,7 @@ def test_evaluate_dataset_counts_inconsistent():
         Sample("good3", [clone(ok)], reference=clone(ok)),
     ]
     prof = profile("flowchart")
-    report = evaluate_dataset(samples, "greedy", prof, workers=2)
+    report = evaluate_dataset(samples, "greedy", prof)
     assert report.consistency_ratio == 0.75
 
 

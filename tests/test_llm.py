@@ -54,6 +54,7 @@ def chat_server():
     _StubChatHandler.calls = 0
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def _config(endpoint, n=3, retries=0):

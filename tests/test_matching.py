@@ -8,11 +8,20 @@ from pathlib import Path
 
 import pytest
 
+from abscon.domains import profile
 from abscon.errors import TooLarge
 from abscon.graph import ACTIVITY, DECISION, LabeledGraph
-from abscon.matching import CostModel, exhaustive_match, match
-from abscon.similarity import SimilarityMode
+from abscon.matching import (
+    EXHAUSTIVE_LIMIT,
+    _assignment_start,
+    _Instance,
+    exhaustive_match,
+    match,
+    sub_matrix,
+)
 from genutil import build_graph, random_mermaid_graph
+
+FLOWCHART = profile("flowchart")
 
 
 def _chain(labels, kind=ACTIVITY):
@@ -25,7 +34,7 @@ def _chain(labels, kind=ACTIVITY):
 
 def test_match_graph_with_itself_is_identity():
     g = _chain(["order received", "check stock", "ship order"])
-    result = match(g, g)
+    result = match(g, g, FLOWCHART)
     assert result.total_cost == 0.0
     assert result.optimal
     assert result.node_map == {i: i for i in g.nodes}
@@ -34,7 +43,7 @@ def test_match_graph_with_itself_is_identity():
 def test_match_against_empty_graph_costs_everything():
     g = _chain(["a b", "c d", "e f"])
     empty = LabeledGraph()
-    result = match(g, empty)
+    result = match(g, empty, FLOWCHART)
     assert result.node_map == {}
     assert result.total_cost == len(g.nodes) + len(g.edges)
 
@@ -50,18 +59,17 @@ def test_match_single_relabeled_node_agrees_with_oracle():
          ("c2", "ship order", ACTIVITY), ("c3", "notify customer", ACTIVITY)],
         [("c0", "c1", ""), ("c1", "c2", ""), ("c2", "c3", "")],
     )
-    approx = match(cand, base)
-    oracle = exhaustive_match(cand, base)
+    approx = match(cand, base, FLOWCHART)
+    oracle = exhaustive_match(cand, base, FLOWCHART)
     assert approx.total_cost == pytest.approx(oracle.total_cost)
     assert oracle.node_map == {"c0": "b0", "c1": "b1", "c2": "b2", "c3": "b3"}
     assert approx.node_map == oracle.node_map
 
 
 def test_mapping_respects_tau():
-    cost = CostModel(tau=0.5)
     base = build_graph([("b0", "paint the wall", ACTIVITY)], [])
     cand = build_graph([("c0", "review invoice totals", ACTIVITY)], [])
-    result = match(cand, base, cost)
+    result = match(cand, base, profile("flowchart", tau=0.5))
     assert result.node_map == {}  # similarity below threshold: delete + insert
     assert result.total_cost == 2.0
 
@@ -69,47 +77,63 @@ def test_mapping_respects_tau():
 def test_kind_mismatch_never_mapped():
     base = build_graph([("b0", "check", DECISION)], [])
     cand = build_graph([("c0", "check", ACTIVITY)], [])
-    assert match(cand, base).node_map == {}
+    assert match(cand, base, FLOWCHART).node_map == {}
 
 
 def test_exhaustive_too_large():
     g = _chain([f"step number {i}" for i in range(9)])
     with pytest.raises(TooLarge):
-        exhaustive_match(g, g)
+        exhaustive_match(g, g, FLOWCHART)
 
 
 def test_oracle_dominance_on_random_pairs():
     rng = random.Random(7)
-    cost = CostModel(mode=SimilarityMode.EMBEDDING)
     for _ in range(25):
         a = random_mermaid_graph(rng, max_nodes=5)
         b = random_mermaid_graph(rng, max_nodes=5)
-        approx = match(a, b, cost)
-        oracle = exhaustive_match(a, b, cost)
+        approx = match(a, b, FLOWCHART)
+        oracle = exhaustive_match(a, b, FLOWCHART)
         assert oracle.total_cost <= approx.total_cost + 1e-9
         if approx.optimal:
             assert approx.total_cost == pytest.approx(oracle.total_cost)
         for c, base_id in oracle.node_map.items():
-            sim = 1.0 - cost.node_sub(a.nodes[c], b.nodes[base_id])
-            assert sim >= cost.tau
+            sim = 1.0 - sub_matrix([a.nodes[c]], [b.nodes[base_id]], FLOWCHART)[0, 0]
+            assert sim >= FLOWCHART.tau
 
 
 def test_determinism():
     rng = random.Random(11)
     a = random_mermaid_graph(rng, max_nodes=8)
     b = random_mermaid_graph(rng, max_nodes=8)
-    r1 = match(a, b)
-    r2 = match(a, b)
+    r1 = match(a, b, FLOWCHART)
+    r2 = match(a, b, FLOWCHART)
     assert r1.node_map == r2.node_map
     assert r1.total_cost == r2.total_cost
 
 
 def test_larger_graphs_use_approximate_path():
     g = _chain([f"step {i} of work" for i in range(7)])
-    result = match(g, g)
+    result = match(g, g, FLOWCHART)
     assert not result.optimal
     assert result.total_cost == 0.0
     assert result.node_map == {i: i for i in g.nodes}
+
+
+def test_zero_match_timeout_keeps_the_warm_start(monkeypatch):
+    # On this pair the local search improves on the assignment warm start.
+    rng = random.Random(27)
+    a = random_mermaid_graph(rng, max_nodes=10)
+    b = random_mermaid_graph(rng, max_nodes=10)
+    assert max(len(a.nodes), len(b.nodes)) > EXHAUSTIVE_LIMIT
+    rushed = profile("flowchart", match_timeout=0.0)
+    start = _assignment_start(_Instance(a, b, rushed))
+    with monkeypatch.context() as patch:
+        moves = []
+        patch.setattr(_Instance, "move_delta", lambda self, *args: moves.append(args) or 0.0)
+        result = match(a, b, rushed)
+    assert result.node_map == start
+    assert moves == []  # _refine ran no round
+    assert match(a, b, FLOWCHART).total_cost < result.total_cost
 
 
 def test_warm_start_loads_only_the_assignment_extension():
@@ -120,11 +144,12 @@ def test_warm_start_loads_only_the_assignment_extension():
                                           os.environ.get("PYTHONPATH")]))
     code = (
         "import random, sys\n"
-        "from abscon.matching import CostModel, match\n"
+        "from abscon.domains import profile\n"
+        "from abscon.matching import match\n"
         "from genutil import noisy_candidate, random_flowchart\n"
         "rng = random.Random(4)\n"
         "truth = random_flowchart(rng, 12)\n"
-        "result = match(noisy_candidate(rng, truth, 'flowchart'), truth, CostModel())\n"
+        "result = match(noisy_candidate(rng, truth, 'flowchart'), truth, profile('flowchart'))\n"
         "assert result.node_map\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.optimize._lsap') if m in sys.modules))\n"
     )

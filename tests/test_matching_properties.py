@@ -1,8 +1,8 @@
 """Properties of the array-built matcher.
 
-- Every entry of the similarity and substitution matrices equals the scalar
-  node_similarity / node_sub for that pair, and follows the scalar rule
-  (kind, normalized label, clipped cosine).
+- Every entry of the similarity and substitution matrices equals the 1 x 1
+  matrix for that pair, and follows the scalar rule (kind, normalized label,
+  clipped cosine).
 - The local search's move delta equals the change in the full mapping cost.
 - One heuristic alignment makes at most one embedding request.
 """
@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abscon.clevr import clevr_op
+from abscon.domains import profile
 from abscon.graph import ACTIVITY, CONCEPT, DECISION, Node, normalize_label
-from abscon.matching import CostModel, _Instance, match
+from abscon.matching import _Instance, match, sub_matrix
 from abscon.similarity import (
     BuiltinProvider,
     CachingProvider,
     SimilarityMode,
     builtin_embed,
     cosine,
-    node_similarity,
     similarity_matrix,
 )
 from genutil import WORDS, noisy_candidate, random_flowchart, random_mermaid_graph
@@ -87,13 +87,14 @@ def _reference_similarity(a: Node, b: Node, mode, provider, case_sensitive) -> f
        provider=providers, case_sensitive=st.booleans(), tau=st.sampled_from(TAUS))
 def test_matrices_agree_with_scalar_similarity(left, right, mode, provider, case_sensitive, tau):
     sim = similarity_matrix(left, right, mode, provider, case_sensitive)
-    cost = CostModel(mode, provider, tau, case_sensitive)
-    sub = cost.sub_matrix(left, right)
+    prof = profile("flowchart", similarity_mode=mode, provider=provider, tau=tau,
+                   case_sensitive_labels=case_sensitive)
+    sub = sub_matrix(left, right, prof)
     assert sim.shape == sub.shape == (len(left), len(right))
     for i, a in enumerate(left):
         for j, b in enumerate(right):
-            assert sim[i, j] == node_similarity(a, b, mode, provider, case_sensitive)
-            assert sub[i, j] == cost.node_sub(a, b)
+            assert sim[i, j] == similarity_matrix([a], [b], mode, provider, case_sensitive)[0, 0]
+            assert sub[i, j] == sub_matrix([a], [b], prof)[0, 0]
             # cosine() and the matrix sum the dot product in different orders.
             assert sim[i, j] == pytest.approx(
                 _reference_similarity(a, b, mode, provider, case_sensitive), abs=1e-12
@@ -111,7 +112,7 @@ def test_matrix_entries_do_not_depend_on_matrix_shape():
     sim = similarity_matrix(left, right, provider=provider)
     for i in range(0, len(left), 9):
         for j, b in enumerate(right):
-            assert sim[i, j] == node_similarity(left[i], b, provider=provider)
+            assert sim[i, j] == similarity_matrix([left[i]], [b], provider=provider)[0, 0]
 
 
 def _random_injection(rng: random.Random, inst: _Instance) -> dict[str, str]:
@@ -148,7 +149,8 @@ def test_move_delta_equals_full_cost_difference(seed, mode, tau, case_sensitive)
     candidate = random_mermaid_graph(rng, max_nodes=9)
     base = (noisy_candidate(rng, candidate, "flowchart") if rng.random() < 0.5
             else random_mermaid_graph(rng, max_nodes=9))
-    inst = _Instance(candidate, base, CostModel(mode, tau=tau, case_sensitive=case_sensitive))
+    prof = profile("flowchart", similarity_mode=mode, tau=tau, case_sensitive_labels=case_sensitive)
+    inst = _Instance(candidate, base, prof)
     node_map = _random_injection(rng, inst)
     for _ in range(5):
         moved = _random_move(rng, inst, node_map)
@@ -177,6 +179,6 @@ def test_heuristic_match_makes_at_most_one_embed_call(seed):
             calls.append(list(texts))
             return builtin_embed(texts)
 
-    result = match(candidate, truth, CostModel(provider=Counting()))
+    result = match(candidate, truth, profile("flowchart", provider=Counting()))
     assert not result.optimal
     assert len(calls) <= 1

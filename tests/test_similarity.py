@@ -17,7 +17,7 @@ from abscon.similarity import (
     SimilarityMode,
     builtin_embed,
     cosine,
-    node_similarity,
+    similarity_matrix,
 )
 
 
@@ -68,26 +68,26 @@ def test_word_order_similarity_ranking():
 def test_node_similarity_exact_mode():
     a = Node("1", "Start", ACTIVITY)
     b = Node("2", " start ", ACTIVITY)
-    assert node_similarity(a, b, SimilarityMode.EXACT_LABEL) == 1.0
+    assert similarity_matrix([a], [b], SimilarityMode.EXACT_LABEL)[0, 0] == 1.0
     c = Node("3", "Stop", ACTIVITY)
-    assert node_similarity(a, c, SimilarityMode.EXACT_LABEL) == 0.0
+    assert similarity_matrix([a], [c], SimilarityMode.EXACT_LABEL)[0, 0] == 0.0
 
 
 def test_node_similarity_kind_mismatch_is_zero():
     a = Node("1", "Start", ACTIVITY)
     b = Node("2", "Start", DECISION)
     for mode in SimilarityMode:
-        assert node_similarity(a, b, mode) == 0.0
+        assert similarity_matrix([a], [b], mode)[0, 0] == 0.0
 
 
 def test_node_similarity_embedding_symmetric_in_range():
     a = Node("1", "check stock", ACTIVITY)
     b = Node("2", "verify inventory", ACTIVITY)
-    s1 = node_similarity(a, b, SimilarityMode.EMBEDDING)
-    s2 = node_similarity(b, a, SimilarityMode.EMBEDDING)
+    s1 = similarity_matrix([a], [b], SimilarityMode.EMBEDDING)[0, 0]
+    s2 = similarity_matrix([b], [a], SimilarityMode.EMBEDDING)[0, 0]
     assert s1 == s2
     assert 0.0 < s1 < 1.0
-    assert node_similarity(a, a, SimilarityMode.EMBEDDING) == 1.0
+    assert similarity_matrix([a], [a], SimilarityMode.EMBEDDING)[0, 0] == 1.0
 
 
 class _StubEmbedHandler(BaseHTTPRequestHandler):
@@ -118,6 +118,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/embed"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_provider_round_trip(stub_server):
