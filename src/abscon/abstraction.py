@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .domains import DomainProfile
 from .errors import AbsconError, UnknownNode
-from .graph import LabeledGraph, NodeKind, edge_key
+from .graph import Edge, LabeledGraph, NodeKind, edge_key
 from .matching import match
 
 
@@ -28,7 +28,7 @@ class PartialElement:
         return min(self.labels.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-EdgeKey = tuple[str, str, str]  # graph.edge_key over element ids
+EdgeKey = tuple[str, str, str]  # graph.edge_key over element ids, shared by all the edge's labels
 
 
 @dataclass
@@ -51,12 +51,14 @@ class PartialModel:
         return {l: c / element.count for l, c in element.labels.items()}
 
     def view(self) -> LabeledGraph:
-        """Representative-label graph over the partial elements."""
+        """Representative-label graph over the partial elements. Every label
+        of an edge element has the element's key, so the edges are unique by
+        construction and the graph keeps no edge-key set."""
         g = LabeledGraph()
         for elem_id, elem in self.nodes.items():
             g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
-        for (src, tgt, _), elem in self.edges.items():
-            g.add_edge(src, tgt, elem.representative_label)
+        g.edges = [Edge(src, tgt, elem.representative_label)
+                   for (src, tgt, _), elem in self.edges.items()]
         return g
 
     def size(self) -> int:
@@ -91,9 +93,10 @@ class PartialModel:
         """Read what to_json writes. Edge rows that share an edge key are
         summed, which is exact: a candidate contributes to at most one of
         them. A dangling edge endpoint raises UnknownNode; a missing field,
-        a duplicate node id, or an element whose label histogram is empty,
-        or whose count is not the histogram's total or lies outside
-        1..n_candidates, raises AbsconError."""
+        a duplicate node id, an edge row whose labels are not all one edge
+        key's, or an element whose label histogram is empty, or whose count
+        is not the histogram's total or lies outside 1..n_candidates, raises
+        AbsconError."""
         data = json.loads(text)
         try:
             model = cls(n_candidates=data["n_candidates"])
@@ -109,6 +112,9 @@ class PartialModel:
                     if end not in model.nodes:
                         raise UnknownNode(f"partial model: edge endpoint {end!r} is not a node")
                 key = edge_key(row["source"], row["target"], next(iter(row["labels"]), ""))
+                if any(edge_key(row["source"], row["target"], l) != key for l in row["labels"]):
+                    raise AbsconError(f"partial model: edge {key[0]!r} -> {key[1]!r} has labels of"
+                                      f" different edges: {sorted(row['labels'])}")
                 elem = model.edges.setdefault(key, PartialElement(0))
                 elem.count += row["count"]
                 elem.labels.update(row["labels"])

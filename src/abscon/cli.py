@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 usage or IO error, 2 infeasible model,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -226,7 +227,11 @@ def cmd_evaluate(args) -> int:
                 (base / row["scene"]).read_text(encoding="utf-8")
             )
         if "gold_answer" in row:
-            sample.gold_answer = clevr_exec.answer_from_json(row["gold_answer"])
+            try:
+                sample.gold_answer = clevr_exec.answer_from_json(row["gold_answer"])
+            except (KeyError, TypeError, ValueError):
+                raise IoError(f"manifest {manifest_path}: sample {i} has a malformed gold_answer"
+                              f" {row['gold_answer']!r}") from None
         samples.append(sample)
 
     out = Path(args.out)
@@ -279,7 +284,13 @@ def cmd_generate(args) -> int:
 
 
 def _sampling_config(args, config: dict) -> SamplingConfig:
-    merged = dict(config.get("sampling", {}))
+    sampling = config.get("sampling", {})
+    if not isinstance(sampling, dict):
+        raise IoError("config 'sampling' must hold a JSON object")
+    unknown = sorted(set(sampling) - {f.name for f in dataclasses.fields(SamplingConfig)})
+    if unknown:
+        raise IoError(f"config 'sampling' has unknown keys {unknown}")
+    merged = dict(sampling)
     if getattr(args, "n", None) is not None:
         merged["n_candidates"] = args.n
     if getattr(args, "temperature", None) is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .abstraction import PartialModel
 from .domains import CLEVR, FLOWCHART, TAXONOMY, DomainProfile
 from .errors import UnknownDomain
-from .graph import DECISION, LabeledGraph, NodeKind, edge_key
+from .graph import DECISION, Edge, LabeledGraph, NodeKind, edge_key
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -111,7 +111,9 @@ class ConstraintProblem:
         return True
 
     def induced_graph(self, assignment: dict[str, int]) -> LabeledGraph | None:
-        """Materialize the selected elements; None when an edge dangles."""
+        """Materialize the selected elements; None when an edge dangles. The
+        edges are one per partial-model edge key, so unique by construction,
+        and the graph keeps no edge-key set."""
         g = LabeledGraph()
         for var, nv in self.nodes.items():
             if assignment.get(var, 0) == 1:
@@ -122,7 +124,7 @@ class ConstraintProblem:
                 tgt = self.nodes[ev.target].elem_id
                 if src not in g.nodes or tgt not in g.nodes:
                     return None
-                g.add_edge(src, tgt, ev.label)
+                g.edges.append(Edge(src, tgt, ev.label))
         return g
 
 

@@ -1,6 +1,7 @@
 """Core labeled-graph data model: typed nodes, directed labeled edges."""
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,8 +18,12 @@ KIND_CONCEPT = "concept"
 KIND_CLEVR_OP = "clevr_op"
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def normalize_label(label: str, case_sensitive: bool = False) -> str:
-    """Trim, collapse internal whitespace, and (by default) case-fold."""
+    """Trim, collapse internal whitespace, and (by default) case-fold.
+
+    Cached: graphs repeat their labels, and edge keys are derived from them
+    wherever edges are counted, matched or checked."""
     text = _WS.sub(" ", label.strip())
     return text if case_sensitive else text.casefold()
 
@@ -73,11 +78,20 @@ class Edge:
 
 @dataclass
 class LabeledGraph:
-    """Mutable during construction, treated as immutable afterwards."""
+    """Typed nodes and directed labeled edges; mutable during construction,
+    treated as immutable afterwards.
+
+    A graph holds at most one edge per edge_key. add_edge enforces this
+    (DuplicateEdge) and has_edge answers by it, from a key set derived from
+    `edges` when either is first called and kept up to date by add_edge from
+    then on. A graph whose edges are unique by construction, such as
+    PartialModel.view() or ConstraintProblem.induced_graph(), is given its
+    edge list whole and holds no key set unless a caller asks.
+    """
 
     nodes: dict[str, Node] = field(default_factory=dict)
     edges: list[Edge] = field(default_factory=list)
-    _edge_keys: set[tuple[str, str, str]] = field(default_factory=set, repr=False)
+    _edge_keys: set[tuple[str, str, str]] | None = field(default=None, repr=False)
     _next_id: int = field(default=0, repr=False)
 
     def add_node(self, label: str, kind: NodeKind = ACTIVITY, node_id: str | None = None) -> str:
@@ -99,14 +113,20 @@ class LabeledGraph:
             raise UnknownNode(source)
         if target not in self.nodes:
             raise UnknownNode(target)
+        keys = self._keys()
         key = edge_key(source, target, label)
-        if key in self._edge_keys:
+        if key in keys:
             raise DuplicateEdge(str(key))
-        self._edge_keys.add(key)
+        keys.add(key)
         self.edges.append(Edge(source, target, label))
 
     def has_edge(self, source: str, target: str, label: str = "") -> bool:
-        return edge_key(source, target, label) in self._edge_keys
+        return edge_key(source, target, label) in self._keys()
+
+    def _keys(self) -> set[tuple[str, str, str]]:
+        if self._edge_keys is None:
+            self._edge_keys = {edge_key(e.source, e.target, e.label) for e in self.edges}
+        return self._edge_keys
 
     def out_edges(self, node_id: str) -> list[Edge]:
         return [e for e in self.edges if e.source == node_id]

@@ -29,6 +29,18 @@ class SamplingConfig:
     max_parallel: int = 4
 
     def __post_init__(self):
+        # Checked here, so a bad sampling config fails before any request.
+        for name in ("endpoint", "model"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, not {getattr(self, name)!r}")
+        for name in ("n_candidates", "max_retries", "max_parallel"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("temperature", "greedy_temperature", "request_timeout", "retry_backoff"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be at least 1")
         if self.temperature < 0 or self.greedy_temperature < 0:

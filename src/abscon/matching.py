@@ -5,8 +5,12 @@ threshold tau), inserting or deleting a node costs 1, substituting an edge is
 free when the normalized labels agree under the node mapping and forbidden
 otherwise, and inserting or deleting an edge costs 1. Small inputs are solved
 exactly; larger ones use a bipartite assignment warm start refined by local
-search. The DomainProfile is the only configuration: similarity mode,
-embedding provider, label case, tau and the match timeout.
+search, whose moves are remapping one node to a free image and swapping the
+images of two nodes (unmapping a node never lowers the cost). Remaps are
+scored from an index of the base edges, swaps by move_delta where a cheap
+lower bound leaves room for a gain. The DomainProfile is the only
+configuration: similarity mode, embedding provider, label case, tau and the
+match timeout.
 """
 from __future__ import annotations
 
@@ -291,42 +295,98 @@ def _label_counts(edges, ids: list[str], column: dict[str, int]) -> tuple[np.nda
 
 
 def _refine(inst: _Instance, node_map: dict[str, str], deadline: float) -> tuple[dict[str, str], float]:
-    """Greedy local moves: remap / unmap single nodes, swap image pairs. Each
-    move is scored by its cost delta; a move is taken when it lowers the
-    cost by more than 1e-12."""
+    """Greedy local search from the warm start, in rounds, until a round
+    takes no move or the deadline passes. A round first remaps each
+    candidate node, in id order, to each image it may take (free or its
+    own, in base id order), then swaps the images of each pair of mapped
+    nodes. A move is taken when it lowers the cost by more than 1e-12.
+
+    Unmapping a node is never a move: it raises the cost by sim(c, old) + 1,
+    plus 2 for every matched edge it loses, so by at least 1. All of a
+    node's remaps are scored in one pass from the base edges indexed by
+    (image of the other end, label). A swap is scored by move_delta only
+    when its lower bound, the change in substitution cost less 2 for every
+    unmatched edge at either node, leaves room for a gain. Every accept
+    decision is the one that scoring each move by move_delta would make.
+    """
+    base_edges = inst.base_edge_set
+    sources: dict[tuple[str, str], list[str]] = {}  # (target, label) -> sources
+    targets: dict[tuple[str, str], list[str]] = {}  # (source, label) -> targets
+    loops: dict[str, list[str]] = {}  # label -> nodes with that self-loop
+    for s, t, l in base_edges:
+        sources.setdefault((t, l), []).append(s)
+        targets.setdefault((s, l), []).append(t)
+        if s == t:
+            loops.setdefault(l, []).append(s)
+
     best = dict(node_map)
+    owner = {b: c for c, b in best.items()}  # image -> candidate node
+
+    def unmatched(c: str) -> int:
+        return sum((best.get(s), best.get(t), l) not in base_edges for s, t, l in inst.incident[c])
+
     improved = True
     while improved and time.monotonic() < deadline:
         improved = False
-        used = set(best.values())
         for c in inst.cand_ids:
             if time.monotonic() >= deadline:
                 break
-            options: list[str | None] = [
-                b for b in inst.choices[c] if b not in used or best.get(c) == b
-            ]
-            options.append(None)
+            choices = inst.choices[c]
+            # Incident edges of c matched when c maps to each image.
+            matched: dict[str, int] = {}
+            for s, t, l in inst.incident[c]:
+                if s == t:
+                    ends = loops.get(l, ())
+                elif s == c:
+                    ends = sources.get((best.get(t), l), ())
+                else:
+                    ends = targets.get((best.get(s), l), ())
+                for b in ends:
+                    matched[b] = matched.get(b, 0) + 1
+            old = best.get(c)
+            options = [b for b in choices if owner.get(b, c) == c]
             for b in options:
-                old = best.get(c)
-                if old == b:
+                if b == old:
                     continue
-                if inst.move_delta(best, {c: b}) < -1e-12:
-                    used.discard(old)
-                    if b is None:
-                        del best[c]
-                    else:
-                        best[c] = b
-                        used.add(b)
+                # move_delta's expression: substitution, unmatched base
+                # nodes, then -2 per matched edge gained.
+                delta = (choices[b] - choices.get(old, 1.0)) + ((old is not None) - 1) - 2 * (
+                    matched.get(b, 0) - matched.get(old, 0))
+                if delta < -1e-12:
+                    owner.pop(old, None)
+                    best[c] = b
+                    owner[b] = c
+                    old = b
                     improved = True
         mapped = sorted(best)
-        for i in range(len(mapped)):
+        rank = {c: i for i, c in enumerate(mapped)}
+        open_edges: dict[str, int] = {}  # unmatched incident edges, filled on demand
+        for i, a in enumerate(mapped):
             if time.monotonic() >= deadline:
                 break
-            for j in range(i + 1, len(mapped)):
-                a, b = mapped[i], mapped[j]
-                if best[b] not in inst.choices[a] or best[a] not in inst.choices[b]:
+            # Partners whose image a may take, in id order; a swap changes
+            # no later partner's image.
+            choices_a = inst.choices[a]
+            partners = sorted(rank[o] for o in map(owner.get, choices_a) if o is not None and rank[o] > i)
+            for j in partners:
+                b = mapped[j]
+                choices_b = inst.choices[b]
+                ya, yb = best[a], best[b]
+                if ya not in choices_b:
                     continue
-                if inst.move_delta(best, {a: best[b], b: best[a]}) < -1e-12:
-                    best[a], best[b] = best[b], best[a]
+                for x in (a, b):
+                    if x not in open_edges:
+                        open_edges[x] = unmatched(x)
+                bound = (choices_a[yb] - choices_a[ya]) + (choices_b[ya] - choices_b[yb]) - 2 * (
+                    open_edges[a] + open_edges[b])
+                if bound > 1e-9:
+                    continue
+                if inst.move_delta(best, {a: yb, b: ya}) < -1e-12:
+                    best[a], best[b] = yb, ya
+                    owner[yb], owner[ya] = a, b
+                    # Only edges at a or b changed: forget their ends' counts.
+                    for s, t, _ in inst.incident[a] + inst.incident[b]:
+                        open_edges.pop(s, None)
+                        open_edges.pop(t, None)
                     improved = True
     return best, inst.mapping_cost(best)

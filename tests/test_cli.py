@@ -131,6 +131,7 @@ BAD_PARTIALS = {
     "duplicate_node_id": lambda d: d["nodes"][3].update(id="p2"),
     "count_not_label_total": lambda d: d["nodes"][0].update(count=2),
     "count_above_n_candidates": lambda d: d["edges"][3].update(count=4, labels={"no": 4}),
+    "labels_of_two_edges": lambda d: d["edges"][3].update(labels={"no": 2, "yes": 1}),
 }
 
 
@@ -335,7 +336,14 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config):
     {"domain": "flowchart"},
     {"domain": "flowchart", "samples": [{"candidates": "fig2_pool"}]},
     {"domain": "flowchart", "samples": [{"id": "orders"}]},
-], ids=["list", "no_samples", "row_without_id", "row_without_candidates"])
+    {"domain": "clevr", "samples": [{"id": "q1", "candidates": str(DATA / "clevr" / "pool_query"),
+                                     "gold_answer": {"value": 3}}]},
+    {"domain": "clevr", "samples": [{"id": "q1", "candidates": str(DATA / "clevr" / "pool_query"),
+                                     "gold_answer": {"type": "colour", "value": "red"}}]},
+    {"domain": "clevr", "samples": [{"id": "q1", "candidates": str(DATA / "clevr" / "pool_query"),
+                                     "gold_answer": 3}]},
+], ids=["list", "no_samples", "row_without_id", "row_without_candidates",
+        "gold_answer_without_type", "gold_answer_unknown_type", "gold_answer_not_object"])
 def test_bad_manifest_exits_1_with_one_error_line(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -350,3 +358,19 @@ def test_exec_scene_without_a_field_exits_1_with_one_error_line(tmp_path, capsys
     path.write_text(json.dumps(scene))
     assert main(["exec", str(DATA / "clevr" / "program_query.clv"), str(path)]) == 1
     assert _error_line(capsys).startswith("scene: ")
+
+
+@pytest.mark.parametrize("sampling", [
+    {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "bogus": 1},
+    {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "n_candidates": "3"},
+    {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "temperature": True},
+    {"endpoint": 7, "model": "m"},
+    ["http://127.0.0.1:9/v1", "m"],
+], ids=["unknown_key", "count_text", "temperature_bool", "endpoint_number", "list"])
+def test_bad_sampling_config_exits_1_with_one_error_line(tmp_path, capsys, sampling):
+    """Checked before any request is made: the endpoint is never contacted."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain": "flowchart", "sampling": sampling}))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "gen")]) == 1
+    _error_line(capsys)
+    assert not (tmp_path / "gen").exists()
