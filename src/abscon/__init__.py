@@ -3,7 +3,7 @@ output graph that satisfies domain well-formedness constraints while
 maximizing agreement with the candidates."""
 
 from .abstraction import PartialElement, PartialModel, abstract, mlc
-from .concretize import Solution, brute_force, concretize, solve, weights
+from .concretize import Solution, brute_force, concretize, solve, solve_partial, weights
 from .constraints import (
     ConsistencyReport,
     ConstraintProblem,
@@ -77,5 +77,6 @@ __all__ = [
     "profile",
     "serialize",
     "solve",
+    "solve_partial",
     "weights",
 ]

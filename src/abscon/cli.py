@@ -1,7 +1,11 @@
 """Command-line orchestration of the pipeline and its stages.
 
+`pipeline` runs the `abstract` stage, then the `concretize` stage, which
+writes report.json and, when the solve left a checked graph, final.*.
+
 Exit codes: 0 ok, 1 usage or IO error, 2 infeasible model,
-3 inconsistent graph / execution error.
+3 inconsistent graph / execution error, 4 solver timed out (final.* is
+then the best selection found, if there was one).
 """
 from __future__ import annotations
 
@@ -14,10 +18,10 @@ import sys
 from pathlib import Path
 
 from .abstraction import PartialModel, abstract
-from .concretize import concretize
+from .concretize import INFEASIBLE, NO_GRAPH, OPTIMAL, REPORTED, TIMED_OUT_BEST, solve_partial
 from .constraints import check
 from .domains import DOMAINS, DomainProfile, profile as make_profile
-from .errors import AbsconError, InfeasibleModel, IoError
+from .errors import AbsconError, IoError
 from .llm import SamplingConfig, build_bundle, load_candidates, sample_candidates
 from .notation import EXTENSION_FOR, EXTENSIONS, parse, serialize
 
@@ -25,6 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INCONSISTENT = 3
+EXIT_TIMED_OUT = 4
+EXIT_FOR = {OPTIMAL: EXIT_OK, INFEASIBLE: EXIT_INFEASIBLE, TIMED_OUT_BEST: EXIT_TIMED_OUT}
 
 # Thread counts OpenBLAS reads when it loads; a caller who sets one keeps it.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -58,13 +64,8 @@ def _profile_from(args, config: dict) -> DomainProfile:
     if domain not in DOMAINS:
         raise IoError(f"unknown or missing domain {domain!r}")
     overrides = {}
-    for key in (
-        "tau",
-        "match_timeout",
-        "solve_timeout",
-        "case_sensitive_labels",
-        "taxonomy_require_connected",
-    ):
+    for key in ("tau", "match_timeout", "solve_timeout", "case_sensitive_labels",
+                "taxonomy_require_connected"):
         if key in config:
             overrides[key] = config[key]
     if config.get("embedding_endpoint"):
@@ -103,60 +104,60 @@ def _dump_json(data) -> str:
 # Commands
 
 
-def cmd_pipeline(args) -> int:
-    config = _load_config(args)
-    profile = _profile_from(args, config)
-    out = Path(args.out)
-
-    if args.candidates:
-        candidates, greedy_index = load_candidates(args.candidates, profile.notation)
-        parsed = [c.graph for c in candidates]
-    else:
-        endpoint_cfg = _sampling_config(args, config)
-        bundle = build_bundle(profile.name, config.get("description", ""), config.get("examples"))
-        candidates = sample_candidates(bundle, endpoint_cfg, profile.notation, run_dir=out)
-        cand_dir = out / "candidates"
-        cand_dir.mkdir(parents=True, exist_ok=True)
-        ext = EXTENSION_FOR[profile.notation]
-        for i, cand in enumerate(candidates):
-            _write(cand_dir / f"sample_{i:02d}{ext}", cand.source_text)
-        parsed = [c.graph for c in candidates]
-
-    partial = abstract(parsed, profile)
+def _abstract_stage(graphs, profile: DomainProfile, out: Path) -> PartialModel:
+    partial = abstract(graphs, profile)
     _write(out / "partial.json", partial.to_json())
+    return partial
 
+
+def _concretize_stage(partial: PartialModel, profile: DomainProfile, out: Path) -> int:
+    """Solve; write report.json, and final.* when there is a checked graph."""
+    solution = solve_partial(partial, profile)
     report = {
         "domain": profile.name,
         "n_candidates": partial.n_candidates,
         "partial_nodes": len(partial.nodes),
         "partial_edges": len(partial.edges),
+        "status": REPORTED[solution.status],
+        "solver_nodes": solution.nodes_explored,
     }
-    try:
-        final = concretize(partial, profile)
-    except InfeasibleModel as exc:
-        report["status"] = "infeasible"
-        report["detail"] = str(exc)
+    if solution.assignment is not None:
+        report["consistent"] = solution.graph is not None
+    if solution.graph is None:
+        report["detail"] = NO_GRAPH[solution.status]
         _write(out / "report.json", _dump_json(report))
-        return _fail(str(exc), EXIT_INFEASIBLE)
+        code = EXIT_FOR[solution.status] if solution.assignment is None else EXIT_INCONSISTENT
+        return _fail(report["detail"], code)
 
-    consistency = check(final, profile)
-    report["status"] = "ok"
-    report["consistent"] = consistency.consistent
-    report["final_nodes"] = len(final.nodes)
-    report["final_edges"] = len(final.edges)
-    ext = EXTENSION_FOR[profile.notation]
-    _write(out / f"final{ext}", serialize(final, profile.notation))
+    report["final_nodes"] = len(solution.graph.nodes)
+    report["final_edges"] = len(solution.graph.edges)
+    final = out / f"final{EXTENSION_FOR[profile.notation]}"
+    _write(final, serialize(solution.graph, profile.notation))
     _write(out / "report.json", _dump_json(report))
-    print(f"final model written to {out / ('final' + ext)}")
+    print(f"final model written to {final}")
+    if solution.status == TIMED_OUT_BEST:
+        return _fail(f"solver timed out: {final} is the best selection found, not a proven optimum",
+                     EXIT_TIMED_OUT)
     return EXIT_OK
+
+
+def cmd_pipeline(args) -> int:
+    config = _load_config(args)
+    profile = _profile_from(args, config)
+    out = Path(args.out)
+    if args.candidates:
+        candidates, _ = load_candidates(args.candidates, profile.notation)
+    else:
+        candidates = _sample(args, config, profile, out)
+    partial = _abstract_stage([c.graph for c in candidates], profile, out)
+    return _concretize_stage(partial, profile, out)
 
 
 def cmd_abstract(args) -> int:
     config = _load_config(args)
     profile = _profile_from(args, config)
     candidates, _ = load_candidates(args.candidates, profile.notation)
-    partial = abstract([c.graph for c in candidates], profile)
-    _write(Path(args.out) / "partial.json", partial.to_json())
+    partial = _abstract_stage([c.graph for c in candidates], profile, Path(args.out))
     print(f"partial model with {len(partial.nodes)} nodes / {len(partial.edges)} edges")
     return EXIT_OK
 
@@ -165,15 +166,7 @@ def cmd_concretize(args) -> int:
     config = _load_config(args)
     profile = _profile_from(args, config)
     partial = PartialModel.from_json(Path(args.partial).read_text(encoding="utf-8"))
-    out = Path(args.out)
-    try:
-        final = concretize(partial, profile)
-    except InfeasibleModel as exc:
-        return _fail(str(exc), EXIT_INFEASIBLE)
-    ext = EXTENSION_FOR[profile.notation]
-    _write(out / f"final{ext}", serialize(final, profile.notation))
-    print(f"final model written to {out / ('final' + ext)}")
-    return EXIT_OK
+    return _concretize_stage(partial, profile, Path(args.out))
 
 
 def cmd_check(args) -> int:
@@ -265,22 +258,28 @@ def cmd_evaluate(args) -> int:
 def cmd_generate(args) -> int:
     config = _load_config(args)
     profile = _profile_from(args, config)
+    candidates = _sample(args, config, profile, Path(args.out), greedy=True)
+    print(f"wrote {len(candidates) + 1} candidates to {Path(args.out) / 'candidates'}")
+    return EXIT_OK
+
+
+def _sample(args, config: dict, profile: DomainProfile, out: Path, greedy: bool = False) -> list:
+    """Sample candidates from the configured endpoint and write them to
+    out/candidates/sample_XX<ext>; with greedy, first one low-temperature
+    candidate to greedy<ext>."""
     cfg = _sampling_config(args, config)
     bundle = build_bundle(profile.name, config.get("description", ""), config.get("examples"))
-    out = Path(args.out)
-    ext = EXTENSION_FOR[profile.notation]
     cand_dir = out / "candidates"
-    cand_dir.mkdir(parents=True, exist_ok=True)
-
-    greedy_cfg = SamplingConfig(**{**cfg.__dict__, "n_candidates": 1})
-    greedy = sample_candidates(bundle, greedy_cfg, profile.notation, run_dir=out / "greedy_run",
-                               temperature=cfg.greedy_temperature)
-    _write(cand_dir / f"greedy{ext}", greedy[0].source_text)
+    ext = EXTENSION_FOR[profile.notation]
+    if greedy:
+        greedy_cfg = SamplingConfig(**{**cfg.__dict__, "n_candidates": 1})
+        (first,) = sample_candidates(bundle, greedy_cfg, profile.notation,
+                                     run_dir=out / "greedy_run", temperature=cfg.greedy_temperature)
+        _write(cand_dir / f"greedy{ext}", first.source_text)
     candidates = sample_candidates(bundle, cfg, profile.notation, run_dir=out)
     for i, cand in enumerate(candidates):
         _write(cand_dir / f"sample_{i:02d}{ext}", cand.source_text)
-    print(f"wrote {len(candidates) + 1} candidates to {cand_dir}")
-    return EXIT_OK
+    return candidates
 
 
 def _sampling_config(args, config: dict) -> SamplingConfig:
@@ -380,8 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except InfeasibleModel as exc:
-        return _fail(str(exc), EXIT_INFEASIBLE)
     except AbsconError as exc:
         return _fail(str(exc))
     except json.JSONDecodeError as exc:

@@ -29,6 +29,12 @@ from .graph import LabeledGraph
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 TIMED_OUT_BEST = "timed_out_best"
+# The status report.json and per_sample.csv give each solver status.
+REPORTED = {OPTIMAL: "ok", INFEASIBLE: "infeasible", TIMED_OUT_BEST: "timed_out"}
+# Why a solution holds no checked graph, by solver status.
+NO_GRAPH = {OPTIMAL: "the optimal selection fails the domain check",
+            INFEASIBLE: "no combination of candidate elements satisfies the domain constraints",
+            TIMED_OUT_BEST: "solver timed out before finding any consistent selection"}
 
 BRUTE_FORCE_LIMIT = 20
 _TOL = 1e-12
@@ -40,6 +46,7 @@ class Solution:
     objective: float
     status: str
     nodes_explored: int = 0
+    graph: LabeledGraph | None = None  # the checked selection (solve_partial only)
 
 
 def weights(partial: PartialModel) -> dict[str, float]:
@@ -57,18 +64,6 @@ def weights(partial: PartialModel) -> dict[str, float]:
     for key, elem in partial.edges.items():
         out[edge_var(key)] = logit(elem.count)
     return out
-
-
-def bce_objective(partial: PartialModel, assignment: dict[str, int]) -> float:
-    """The cross-entropy objective itself (used by equivalence tests)."""
-    total = 0.0
-    items = [(node_var(i), e) for i, e in partial.nodes.items()]
-    items += [(edge_var(k), e) for k, e in partial.edges.items()]
-    for var, elem in items:
-        p = _clamped(elem.count, partial.n_candidates)
-        x = assignment.get(var, 0)
-        total += x * math.log(p) + (1 - x) * math.log(1.0 - p)
-    return total
 
 
 def _clamped(count: int, n: int) -> float:
@@ -679,25 +674,29 @@ def brute_force(problem: ConstraintProblem) -> Solution:
 # End-to-end concretization
 
 
-def concretize(
-    partial: PartialModel,
-    profile: DomainProfile,
-    solve_timeout: float | None = None,
-) -> LabeledGraph:
-    """build problem -> weights -> solve -> materialize; the result is
-    guaranteed to pass the domain checker."""
+def solve_partial(partial: PartialModel, profile: DomainProfile,
+                  solve_timeout: float | None = None) -> Solution:
+    """build problem -> weights -> solve -> materialize -> check. The
+    solution keeps the solver's status and node count; its graph is the
+    selection's induced graph when that passes the domain checker."""
     problem = build_problem(partial, profile)
     problem.weights = weights(partial)
     solution = solve(problem, solve_timeout if solve_timeout is not None else profile.solve_timeout)
-    if solution.assignment is None:
-        raise InfeasibleModel(
-            "no combination of candidate elements satisfies the domain constraints"
-            if solution.status == INFEASIBLE
-            else "solver timed out before finding any consistent selection"
-        )
-    graph = problem.induced_graph(solution.assignment)
-    report = check(graph, profile)
-    if not report.consistent:
-        # Only reachable for timed-out, non-proven solutions.
-        raise InfeasibleModel("timed-out best selection is not consistent")
-    return graph
+    if solution.assignment is not None:
+        graph = problem.induced_graph(solution.assignment)
+        # Every selection the solver keeps has passed problem.satisfied(),
+        # so this is a safety net whatever the status.
+        if check(graph, profile).consistent:
+            solution.graph = graph
+    return solution
+
+
+def concretize(partial: PartialModel, profile: DomainProfile,
+               solve_timeout: float | None = None) -> LabeledGraph:
+    """solve_partial()'s graph: the optimum, or the best selection found when
+    the solve timed out (solve_partial() gives the status). Raises
+    InfeasibleModel when there is no checked selection."""
+    solution = solve_partial(partial, profile, solve_timeout)
+    if solution.graph is None:
+        raise InfeasibleModel(NO_GRAPH[solution.status])
+    return solution.graph

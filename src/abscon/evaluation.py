@@ -13,10 +13,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import clevr as clevr_exec
 from .abstraction import abstract
-from .concretize import concretize
+from .concretize import REPORTED, Solution, solve_partial
 from .constraints import check
 from .domains import CLEVR, DomainProfile
-from .errors import InfeasibleModel
 from .graph import ACTIVITY, LabeledGraph, edge_key, normalize_label
 from .notation import display_label
 
@@ -158,7 +157,7 @@ def run_method(
     greedy_index: int = 0,
     scene: Optional[clevr_exec.Scene] = None,
 ):
-    """Produce a graph (greedy, mv, abscon) or an answer (esc, escf)."""
+    """Produce a graph (greedy, mv), a Solution (abscon) or an answer (esc, escf)."""
     if not candidates:
         raise ValueError("at least one candidate is required")
     if method == "greedy":
@@ -166,8 +165,7 @@ def run_method(
     if method == "mv":
         return majority_vote(candidates, profile.case_sensitive_labels)
     if method == "abscon":
-        partial = abstract(list(candidates), profile)
-        return concretize(partial, profile)
+        return solve_partial(abstract(list(candidates), profile), profile)
     if method in ("esc", "escf"):
         if scene is None:
             raise ValueError(f"{method} requires a scene")
@@ -198,7 +196,7 @@ class Sample:
 class SampleResult:
     sample_id: str
     method: str
-    status: str  # ok | infeasible
+    status: str  # ok | infeasible | timed_out, as in report.json
     consistent: bool = False
     precision: float = 0.0
     recall: float = 0.0
@@ -249,33 +247,36 @@ def similarity_for(profile: DomainProfile):
 
 
 def evaluate_sample(sample: Sample, method: str, profile: DomainProfile) -> SampleResult:
+    output = run_method(
+        method, sample.candidates, profile,
+        greedy_index=sample.greedy_index, scene=sample.scene,
+    )
     row = SampleResult(sample.id, method, "ok")
-    try:
-        output = run_method(
-            method, sample.candidates, profile,
-            greedy_index=sample.greedy_index, scene=sample.scene,
-        )
-    except InfeasibleModel:
-        row.status = "infeasible"
-        return row
-
-    if isinstance(output, LabeledGraph):
+    if isinstance(output, Solution):
+        # solve_partial() has checked its graph; without one the row scores 0.
+        row.status = REPORTED[output.status]
+        row.consistent = output.graph is not None
+        output = output.graph
+    elif isinstance(output, LabeledGraph):
         row.consistent = check(output, profile).consistent
-        if sample.reference is not None:
-            sim = similarity_for(profile)
-            row.precision, row.recall, row.f1 = soft_prf(
-                output, sample.reference, sim, profile.case_sensitive_labels
-            )
-        if profile.name == CLEVR and sample.scene is not None:
-            answer = clevr_exec.execute(output, sample.scene)
-            row.executed = not isinstance(answer, clevr_exec.ExecError)
-            if sample.gold_answer is not None:
-                row.accurate = clevr_exec.answers_equal(answer, sample.gold_answer)
     else:
         row.executed = not isinstance(output, clevr_exec.ExecError)
         row.consistent = row.executed
         if sample.gold_answer is not None:
             row.accurate = clevr_exec.answers_equal(output, sample.gold_answer)
+        return row
+    if output is None:
+        return row
+    if sample.reference is not None:
+        sim = similarity_for(profile)
+        row.precision, row.recall, row.f1 = soft_prf(
+            output, sample.reference, sim, profile.case_sensitive_labels
+        )
+    if profile.name == CLEVR and sample.scene is not None:
+        answer = clevr_exec.execute(output, sample.scene)
+        row.executed = not isinstance(answer, clevr_exec.ExecError)
+        if sample.gold_answer is not None:
+            row.accurate = clevr_exec.answers_equal(answer, sample.gold_answer)
     return row
 
 

@@ -11,8 +11,9 @@ import pytest
 
 import abscon
 from abscon.cli import main
+from abscon.graph import LabeledGraph
 from abscon.notation import Notation, serialize
-from genutil import candidate_pool, random_flowchart
+from genutil import candidate_pool, dense_partial_model, random_flowchart
 
 DATA = Path(__file__).parent / "data"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -68,7 +69,7 @@ def test_abstract_then_concretize_stages(tmp_path):
     assert "Update ledger" not in (stage2 / "final.mmd").read_text()
 
 
-def test_case_sensitive_stages_write_what_pipeline_writes(tmp_path):
+def _case_sensitive_pool(tmp_path) -> Path:
     # Two of three candidates write the decision arm as "Yes": a partial
     # model written by abstract and read back by concretize must keep that
     # count, as the in-memory one in pipeline does.
@@ -79,16 +80,64 @@ def test_case_sensitive_stages_write_what_pipeline_writes(tmp_path):
             "flowchart TD\nA[Receive order] --> B{In stock?}\n"
             f"B -->|{arm}| C[Ship order]\nB -->|no| D[Reorder stock]\n"
         )
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"case_sensitive_labels": True}))
-    common = ["--domain", "flowchart", "--config", str(config)]
-    assert main(["pipeline", *common, "--candidates", str(pool), "--out", str(tmp_path / "p")]) == 0
-    assert main(["abstract", *common, "--candidates", str(pool), "--out", str(tmp_path / "s1")]) == 0
-    assert main(["concretize", *common, "--partial", str(tmp_path / "s1" / "partial.json"),
-                 "--out", str(tmp_path / "s2")]) == 0
-    final = (tmp_path / "p" / "final.mmd").read_text()
-    assert "|Yes|" in final
-    assert (tmp_path / "s2" / "final.mmd").read_text() == final
+    return pool
+
+
+def _dense_taxonomy_pool(tmp_path, n: int, seed: int) -> Path:
+    """Five candidates that abstract to genutil's dense taxonomy model with
+    every node unanimous: candidate j holds every node and the edges whose
+    count exceeds j. With no time to spend, the solver stops at search node
+    128; the 15-node pool (seed 1) has a selection by then, the 30-node one
+    (seed 0) has none."""
+    partial = dense_partial_model(random.Random(seed), "taxonomy", n)
+    pool = tmp_path / "pool"
+    pool.mkdir(parents=True)
+    for j in range(partial.n_candidates):
+        graph = LabeledGraph()
+        ids = {pid: graph.add_node(next(iter(e.labels)), e.kind) for pid, e in partial.nodes.items()}
+        for (source, target, _), elem in partial.edges.items():
+            if elem.count > j:
+                graph.add_edge(ids[source], ids[target], next(iter(elem.labels)))
+        (pool / f"candidate_{j}.tax").write_text(serialize(graph, Notation.TAXONOMY_EDGES))
+    return pool
+
+
+TIMED_OUT = {"domain": "taxonomy", "solve_timeout": 0}
+# name: (pool, config, exit code, report status, whether final.* is written)
+STAGE_CASES = {
+    "case_sensitive": (_case_sensitive_pool, {"case_sensitive_labels": True}, 0, "ok", True),
+    "fig2_pool": (lambda tmp: DATA / "fig2_pool", {}, 0, "ok", True),
+    "infeasible_pool": (lambda tmp: DATA / "infeasible_pool", {}, 2, "infeasible", False),
+    "timed_out_with_selection": (lambda tmp: _dense_taxonomy_pool(tmp, 15, 1), TIMED_OUT, 4,
+                                 "timed_out", True),
+    "timed_out_without_selection": (lambda tmp: _dense_taxonomy_pool(tmp, 30, 0), TIMED_OUT, 4,
+                                    "timed_out", False),
+}
+
+
+@pytest.mark.parametrize("case", list(STAGE_CASES))
+def test_case_sensitive_stages_write_what_pipeline_writes(tmp_path, case):
+    make_pool, config, code, status, has_final = STAGE_CASES[case]
+    pool = make_pool(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"domain": "flowchart", **config}))
+    common = ["--config", str(config_path)]
+    assert main(["pipeline", *common, "--candidates", str(pool), "--out", str(tmp_path / "p")]) == code
+    assert main(["abstract", *common, "--candidates", str(pool), "--out", str(tmp_path / "s")]) == 0
+    assert main(["concretize", *common, "--partial", str(tmp_path / "s" / "partial.json"),
+                 "--out", str(tmp_path / "s")]) == code
+    ext = ".tax" if config.get("domain") == "taxonomy" else ".mmd"
+    written = {run: {path.name: path.read_bytes() for path in (tmp_path / run).iterdir()}
+               for run in ("p", "s")}
+    assert written["p"] == written["s"]
+    assert sorted(written["p"]) == sorted(["partial.json", "report.json"]
+                                          + [f"final{ext}"] * has_final)
+    report = json.loads(written["p"]["report.json"])
+    assert report["status"] == status
+    assert report.get("consistent") == (True if has_final else None)
+    assert report["solver_nodes"] == 128 if status == "timed_out" else report["solver_nodes"] > 0
+    if case == "case_sensitive":
+        assert b"|Yes|" in written["p"]["final.mmd"]
 
 
 def _partial_json(tmp_path, edit=None) -> Path:
@@ -200,6 +249,20 @@ def test_evaluate_command(tmp_path, capsys):
     assert by_method["abscon"]["f1"] >= by_method["mv"]["f1"]
     csv_text = (out / "per_sample.csv").read_text()
     assert csv_text.count("\n") == 7  # header + 2 samples x 3 methods
+
+
+def test_evaluate_reports_timed_out_solves(tmp_path):
+    for name, n, seed in (("selected", 15, 1), ("none", 30, 0)):
+        _dense_taxonomy_pool(tmp_path / name, n, seed)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"domain": "taxonomy", "samples": [
+        {"id": name, "candidates": f"{name}/pool"} for name in ("selected", "none")]}))
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(manifest), "--method", "abscon", "--timeout-solve", "0",
+                 "--out", str(out)]) == 0
+    rows = (out / "per_sample.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [["selected", "abscon", "timed_out", "1"],
+                                                     ["none", "abscon", "timed_out", "0"]]
 
 
 def test_evaluate_unknown_method(tmp_path):

@@ -13,17 +13,19 @@ from abscon.abstraction import abstract
 from abscon.concretize import (
     INFEASIBLE,
     OPTIMAL,
-    bce_objective,
+    TIMED_OUT_BEST,
     brute_force,
     concretize,
     solve,
+    solve_partial,
     weights,
 )
-from abscon.constraints import build_problem, check
+from abscon.constraints import build_problem, check, edge_var, node_var
 from abscon.domains import profile
 from abscon.errors import InfeasibleModel, TooLarge
 from abscon.graph import ACTIVITY, DECISION, LabeledGraph
 from abscon.llm import load_candidates
+from abscon.notation import serialize
 from genutil import build_graph, dense_partial_model, graph_signature, random_partial_model
 
 from pathlib import Path
@@ -130,6 +132,39 @@ def test_clevr_without_scene_is_infeasible():
         concretize(partial, prof)
 
 
+# With no time to spend, the solver stops at its first deadline check, at
+# search node 128, whatever the machine's speed. The 15-node model has a
+# selection by then (it takes 3,916 nodes to prove); the 30-node one has none.
+@pytest.mark.parametrize("n, seed, selected", [(15, 1, True), (30, 0, False)])
+def test_solve_partial_keeps_a_timed_out_status(n, seed, selected):
+    prof = profile("taxonomy")
+    partial = dense_partial_model(random.Random(seed), "taxonomy", n)
+    solution = solve_partial(partial, prof, solve_timeout=0)
+    assert (solution.status, solution.nodes_explored) == (TIMED_OUT_BEST, 128)
+    assert (solution.assignment is not None) == (solution.graph is not None) == selected
+    if selected:
+        assert check(solution.graph, prof).consistent
+        final = concretize(partial, prof, solve_timeout=0)
+        assert serialize(final, prof.notation) == serialize(solution.graph, prof.notation)
+        assert solve_partial(partial, prof).status == OPTIMAL
+    else:
+        with pytest.raises(InfeasibleModel, match="timed out"):
+            concretize(partial, prof, solve_timeout=0)
+
+
+def test_solve_partial_keeps_proven_statuses():
+    prof = profile("flowchart")
+    candidates, _ = load_candidates(DATA / "fig2_pool")
+    partial = abstract([c.graph for c in candidates], prof)
+    solution = solve_partial(partial, prof)
+    assert solution.status == OPTIMAL and solution.nodes_explored > 0
+    assert serialize(solution.graph, prof.notation) == serialize(concretize(partial, prof),
+                                                                 prof.notation)
+    candidates, _ = load_candidates(DATA / "infeasible_pool")
+    solution = solve_partial(abstract([c.graph for c in candidates], prof), prof)
+    assert (solution.status, solution.assignment, solution.graph) == (INFEASIBLE, None, None)
+
+
 def test_single_consistent_candidate_round_trips():
     g = build_graph(
         [("a", "receive order", ACTIVITY), ("d", "in stock?", DECISION),
@@ -166,6 +201,20 @@ def test_solver_matches_oracle_on_random_models(domain):
         if fast.assignment is not None:
             assert fast.objective == pytest.approx(slow.objective, abs=1e-9), (domain, i)
             assert problem.satisfied(fast.assignment)
+
+
+def bce_objective(partial, assignment: dict[str, int]) -> float:
+    """The cross-entropy objective itself, with each probability count / n
+    clamped to [1/(2n), 1 - 1/(2n)] as weights() clamps it."""
+    n = partial.n_candidates
+    total = 0.0
+    items = [(node_var(i), e) for i, e in partial.nodes.items()]
+    items += [(edge_var(k), e) for k, e in partial.edges.items()]
+    for var, elem in items:
+        p = min(max(elem.count / n, 1 / (2 * n)), 1 - 1 / (2 * n))
+        x = assignment.get(var, 0)
+        total += x * math.log(p) + (1 - x) * math.log(1.0 - p)
+    return total
 
 
 def test_objective_ranking_matches_bce():
