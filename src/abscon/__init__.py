@@ -1,78 +1,37 @@
 """abscon: merge partially-correct candidate graph models into a single
 output graph that satisfies domain well-formedness constraints while
-maximizing agreement with the candidates."""
+maximizing agreement with the candidates.
 
-from .abstraction import PartialElement, PartialModel, abstract, mlc
+The root exports the pipeline (parse, abstract, concretize or solve_partial,
+check, serialize), the solver steps behind concretize (build_problem,
+weights, solve, and brute_force, the exact oracle) and the types and errors
+these take, return or raise. Everything else stays in its own module.
+"""
+
+from .abstraction import PartialModel, abstract
 from .concretize import Solution, brute_force, concretize, solve, solve_partial, weights
-from .constraints import (
-    ConsistencyReport,
-    ConstraintProblem,
-    GlobalConstraint,
-    LinearConstraint,
-    build_problem,
-    check,
-)
+from .constraints import ConsistencyReport, ConstraintProblem, build_problem, check
 from .domains import DomainProfile, profile
-from .errors import (
-    AbsconError,
-    DuplicateEdge,
-    EmptyPool,
-    EndpointError,
-    IncompatibleNotation,
-    InfeasibleModel,
-    ModelSyntaxError,
-    ProviderFailure,
-    TooLarge,
-    UnknownDomain,
-    UnknownNode,
-)
-from .graph import ACTIVITY, CONCEPT, DECISION, Edge, LabeledGraph, Node, NodeKind, normalize_label
-from .matching import MatchResult, exhaustive_match, match
-from .notation import Notation, ParsedCandidate, extract_code_block, parse, serialize
-from .similarity import SimilarityMode, builtin_embed
+from .errors import AbsconError, InfeasibleModel, ModelSyntaxError
+from .graph import LabeledGraph
+from .notation import Notation, parse, serialize
 
 __all__ = [
-    "ACTIVITY",
-    "CONCEPT",
-    "DECISION",
     "AbsconError",
     "ConsistencyReport",
     "ConstraintProblem",
     "DomainProfile",
-    "DuplicateEdge",
-    "Edge",
-    "EmptyPool",
-    "EndpointError",
-    "GlobalConstraint",
-    "IncompatibleNotation",
     "InfeasibleModel",
     "LabeledGraph",
-    "LinearConstraint",
-    "MatchResult",
     "ModelSyntaxError",
-    "Node",
-    "NodeKind",
     "Notation",
-    "ParsedCandidate",
-    "PartialElement",
     "PartialModel",
-    "ProviderFailure",
-    "SimilarityMode",
     "Solution",
-    "TooLarge",
-    "UnknownDomain",
-    "UnknownNode",
     "abstract",
     "brute_force",
     "build_problem",
-    "builtin_embed",
     "check",
     "concretize",
-    "exhaustive_match",
-    "extract_code_block",
-    "match",
-    "mlc",
-    "normalize_label",
     "parse",
     "profile",
     "serialize",

@@ -44,12 +44,6 @@ class PartialModel:
         self.nodes[elem_id] = PartialElement(1, Counter({label: 1}), kind)
         return elem_id
 
-    def probability(self, element: PartialElement) -> float:
-        return element.count / self.n_candidates
-
-    def label_distribution(self, element: PartialElement) -> dict[str, float]:
-        return {l: c / element.count for l, c in element.labels.items()}
-
     def view(self) -> LabeledGraph:
         """Representative-label graph over the partial elements. Every label
         of an edge element has the element's key, so the edges are unique by

@@ -64,10 +64,6 @@ def _build_catalog() -> dict[str, OpCatalogEntry]:
 _CATALOG = _build_catalog()
 
 
-def catalog() -> dict[str, OpCatalogEntry]:
-    return dict(_CATALOG)
-
-
 def lookup(op_name: str) -> Optional[OpCatalogEntry]:
     return _CATALOG.get(op_name)
 

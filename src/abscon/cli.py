@@ -202,6 +202,9 @@ def cmd_evaluate(args) -> int:
     args.domain = args.domain or manifest.get("domain")
     profile = _profile_from(args, config)
     methods = args.method or manifest.get("methods") or ["abscon"]
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise IoError(f"manifest {manifest_path}: 'methods' must be a list of method names,"
+                      f" not {methods!r}")
     for method in methods:
         if method not in METHODS:
             raise IoError(f"unknown method {method!r}")
@@ -211,6 +214,10 @@ def cmd_evaluate(args) -> int:
     for i, row in enumerate(manifest["samples"]):
         if not isinstance(row, dict) or "id" not in row or "candidates" not in row:
             raise IoError(f"manifest {manifest_path}: sample {i} needs an 'id' and 'candidates'")
+        for name in ("candidates", "reference", "scene"):
+            if name in row and not isinstance(row[name], str):
+                raise IoError(f"manifest {manifest_path}: sample {i} {name!r} must be a path,"
+                              f" not {row[name]!r}")
         candidates, greedy_index = load_candidates(base / row["candidates"], profile.notation)
         sample = Sample(row["id"], [c.graph for c in candidates], greedy_index)
         if "reference" in row:

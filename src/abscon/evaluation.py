@@ -40,15 +40,15 @@ def relation_triples(graph: LabeledGraph, case_sensitive: bool = False) -> set[R
     return triples
 
 
-def default_tokenizer(text: str) -> list[str]:
+def _tokenize(text: str) -> list[str]:
     """Lowercase word-and-punctuation split."""
     return re.findall(r"\w+|[^\w\s]", text.lower())
 
 
 def token_overlap(e1: RelationTriple, e2: RelationTriple) -> float:
     """Jaccard similarity of the token sets of the concatenated triple text."""
-    t1 = set(default_tokenizer(" ".join(e1)))
-    t2 = set(default_tokenizer(" ".join(e2)))
+    t1 = set(_tokenize(" ".join(e1)))
+    t2 = set(_tokenize(" ".join(e2)))
     if not t1 and not t2:
         return 1.0
     if not t1 or not t2:

@@ -133,6 +133,3 @@ class LabeledGraph:
 
     def in_edges(self, node_id: str) -> list[Edge]:
         return [e for e in self.edges if e.target == node_id]
-
-    def __len__(self) -> int:
-        return len(self.nodes)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyPool, EndpointError, IoError, ModelSyntaxError
@@ -51,19 +51,15 @@ class SamplingConfig:
 class PromptBundle:
     system: str
     specification: str
-    examples: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.specification.strip():
             raise ValueError("specification text must be non-empty")
 
     def messages(self) -> list[dict]:
-        user = self.specification
-        if self.examples:
-            user = "\n\n".join(self.examples) + "\n\n" + user
         return [
             {"role": "system", "content": self.system},
-            {"role": "user", "content": user},
+            {"role": "user", "content": self.specification},
         ]
 
 
@@ -75,18 +71,16 @@ def _asset(name: str) -> str:
 
 def build_bundle(domain: str, description: str, examples: list[str] | None = None) -> PromptBundle:
     """Fill the editable prompt template with the domain's metamodel and
-    constraint texts plus the task description."""
-    examples = list(examples or [])
+    constraint texts, the few-shot examples and the task description."""
     specification = _asset("prompt_template.txt").format(
         metamodel=_asset(f"metamodel_{domain}.txt").strip(),
         constraints=_asset(f"constraints_{domain}.txt").strip(),
         description=description.strip(),
-        examples="\n\n".join(examples),
+        examples="\n\n".join(examples or []),
     )
     return PromptBundle(
         system="You are a precise modeling assistant. Answer with a single fenced code block.",
         specification=specification,
-        examples=examples,
     )
 
 

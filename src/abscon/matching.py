@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import TooLarge
 from .graph import LabeledGraph, Node, edge_key
 from .similarity import similarity_matrix
 
@@ -31,7 +30,6 @@ if TYPE_CHECKING:
     from .domains import DomainProfile
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
-ORACLE_LIMIT = 8
 
 
 def sub_matrix(left: list[Node], right: list[Node], profile: DomainProfile) -> np.ndarray:
@@ -126,15 +124,6 @@ def match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile) -
     node_map = _assignment_start(inst)
     node_map, total = _refine(inst, node_map, deadline)
     return MatchResult(node_map, total, optimal=False)
-
-
-def exhaustive_match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile) -> MatchResult:
-    """Provably minimal edit cost by enumeration of all partial injections."""
-    if len(candidate.nodes) > ORACLE_LIMIT or len(base.nodes) > ORACLE_LIMIT:
-        raise TooLarge(f"exhaustive matching is limited to {ORACLE_LIMIT} nodes per side")
-    inst = _Instance(candidate, base, profile)
-    node_map, total = _exhaustive(inst)
-    return MatchResult(node_map, total, optimal=True)
 
 
 def _exhaustive(inst: _Instance) -> tuple[dict[str, str], float]:

@@ -30,7 +30,9 @@ class SimilarityMode(enum.Enum):
 
 class EmbeddingProvider(Protocol):
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Return one unit-norm vector per text, all of equal dimension."""
+        """Return one vector per text, all of equal dimension. Any norm will
+        do: similarity_matrix divides by the norms itself, and scores a zero
+        vector 0 against everything."""
         ...
 
 
@@ -125,29 +127,19 @@ class CachingProvider:
         return [self._cache[t] for t in texts]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    import numpy as np
-
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def similarity_matrix(
     left: Sequence[Node],
     right: Sequence[Node],
-    mode: SimilarityMode = SimilarityMode.EMBEDDING,
-    provider: EmbeddingProvider | None = None,
-    case_sensitive: bool = False,
+    mode: SimilarityMode,
+    provider: EmbeddingProvider,
+    case_sensitive: bool,
 ) -> np.ndarray:
     """len(left) x len(right) similarities in [0, 1].
 
     0 whenever the node kinds differ, 1 for equal normalized labels; other
     pairs score 0 in exact mode and the clipped cosine of their label
     embeddings otherwise (0 against a zero vector). All embeddings come from
-    a single provider call over the distinct labels that need one; without a
-    provider, from the builtin embedding, uncached.
+    a single provider call over the distinct labels that need one.
     """
     import numpy as np
 
@@ -173,7 +165,7 @@ def similarity_matrix(
     rows = np.flatnonzero(pending.any(axis=1))
     cols = np.flatnonzero(pending.any(axis=0))
     texts = sorted({left[i].label for i in rows} | {right[j].label for j in cols})
-    vectors = (provider or BuiltinProvider()).embed(texts)
+    vectors = provider.embed(texts)
     vector_of = dict(zip(texts, vectors))
     a = np.array([vector_of[left[i].label] for i in rows], dtype=float)
     b = np.array([vector_of[right[j].label] for j in cols], dtype=float)

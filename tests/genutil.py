@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import random
 
-from abscon.clevr import ATTRIBUTES, RELATIONS, Scene, SceneObject, catalog, clevr_op
+from abscon.clevr import _CATALOG, ATTRIBUTES, RELATIONS, Scene, SceneObject, clevr_op
+from abscon.errors import TooLarge
 from abscon.graph import ACTIVITY, CONCEPT, DECISION, LabeledGraph, NodeKind, normalize_label
+from abscon.matching import MatchResult, _exhaustive, _Instance
 from abscon.notation import display_label, render_clevr_op
 
 WORDS = [
@@ -72,7 +74,7 @@ def random_taxonomy_graph(rng: random.Random, max_nodes: int = 10) -> LabeledGra
 
 
 def _random_op_kind(rng: random.Random, name: str) -> NodeKind:
-    entry = catalog()[name]
+    entry = _CATALOG[name]
     if not entry.parameterized:
         return clevr_op(name)
     if name == "relate":
@@ -84,11 +86,11 @@ def _random_op_kind(rng: random.Random, name: str) -> NodeKind:
 def random_clevr_graph(rng: random.Random, max_nodes: int = 8) -> LabeledGraph:
     """Arity-respecting DAG wiring; types may be wrong (round-trip only)."""
     g = LabeledGraph()
-    names = sorted(catalog())
+    names = sorted(_CATALOG)
     ids = [g.add_node("", clevr_op("scene"))]
     for _ in range(rng.randint(0, max_nodes - 1)):
         name = rng.choice(names)
-        entry = catalog()[name]
+        entry = _CATALOG[name]
         if entry.arity > len(ids):
             continue
         kind = _random_op_kind(rng, name)
@@ -349,3 +351,30 @@ def dense_partial_model(rng: random.Random, domain: str, n: int):
         count = rng.randint(1, 5)
         model.edges[(elem_of[src], elem_of[tgt], norm)] = PartialElement(count, Counter({label: count}))
     return model
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+ORACLE_LIMIT = 8
+
+
+def exhaustive_match(candidate: LabeledGraph, base: LabeledGraph, profile) -> MatchResult:
+    """Provably minimal edit cost by enumeration of all partial injections:
+    the exact search match() runs at or below EXHAUSTIVE_LIMIT, for graphs
+    up to ORACLE_LIMIT nodes per side."""
+    if len(candidate.nodes) > ORACLE_LIMIT or len(base.nodes) > ORACLE_LIMIT:
+        raise TooLarge(f"exhaustive matching is limited to {ORACLE_LIMIT} nodes per side")
+    node_map, total = _exhaustive(_Instance(candidate, base, profile))
+    return MatchResult(node_map, total, optimal=True)
+
+
+def cosine(a, b) -> float:
+    """Cosine of two vectors; 0 against a zero vector."""
+    import numpy as np  # a test that only solves must not load it
+
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))

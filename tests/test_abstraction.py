@@ -36,7 +36,7 @@ def test_single_candidate_all_probabilities_one():
     model = abstract([g], profile("flowchart"))
     assert model.n_candidates == 1
     for elem in list(model.nodes.values()) + list(model.edges.values()):
-        assert model.probability(elem) == 1.0
+        assert elem.count / model.n_candidates == 1.0
 
 
 def test_identical_candidates_all_counts_equal_n():
@@ -45,7 +45,7 @@ def test_identical_candidates_all_counts_equal_n():
     assert model.n_candidates == 3
     for elem in list(model.nodes.values()) + list(model.edges.values()):
         assert elem.count == 3
-        assert model.probability(elem) == 1.0
+        assert elem.count / model.n_candidates == 1.0
 
 
 def test_fig2_pool_probabilities():
@@ -113,9 +113,8 @@ def test_label_histogram_and_distribution():
     assert elem.count == 3
     assert elem.labels == {"Ship order": 2, "ship order": 1}
     assert elem.representative_label == "Ship order"
-    dist = model.label_distribution(elem)
-    assert dist["Ship order"] == pytest.approx(2 / 3)
-    assert sum(dist.values()) == pytest.approx(1.0)
+    assert elem.labels["Ship order"] / elem.count == pytest.approx(2 / 3)
+    assert sum(elem.labels.values()) == elem.count
 
 
 def test_json_round_trip():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from abscon.clevr import (
+    _CATALOG,
     Attr,
     Count,
     ExecError,
@@ -16,7 +17,6 @@ from abscon.clevr import (
     answer_from_json,
     answer_to_json,
     answers_equal,
-    catalog,
     clevr_op,
     execute,
     lookup,
@@ -54,7 +54,7 @@ def program(text: str) -> LabeledGraph:
 
 
 def test_catalog_entries():
-    entries = catalog()
+    entries = _CATALOG
     assert lookup("unique").arity == 1
     assert lookup("unique").input_types == ("ObjectSet",)
     assert lookup("unique").output_type == "SingleObject"

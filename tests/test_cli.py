@@ -394,24 +394,40 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("manifest", [
-    ["fig2_pool"],
-    {"domain": "flowchart"},
-    {"domain": "flowchart", "samples": [{"candidates": "fig2_pool"}]},
-    {"domain": "flowchart", "samples": [{"id": "orders"}]},
-    {"domain": "clevr", "samples": [{"id": "q1", "candidates": str(DATA / "clevr" / "pool_query"),
-                                     "gold_answer": {"value": 3}}]},
-    {"domain": "clevr", "samples": [{"id": "q1", "candidates": str(DATA / "clevr" / "pool_query"),
-                                     "gold_answer": {"type": "colour", "value": "red"}}]},
-    {"domain": "clevr", "samples": [{"id": "q1", "candidates": str(DATA / "clevr" / "pool_query"),
-                                     "gold_answer": 3}]},
+POOL = str(DATA / "fig2_pool")
+CLEVR_POOL = str(DATA / "clevr" / "pool_query")
+
+
+@pytest.mark.parametrize("manifest, named", [
+    (["fig2_pool"], ()),
+    ({"domain": "flowchart"}, ()),
+    ({"domain": "flowchart", "samples": [{"candidates": "fig2_pool"}]}, ()),
+    ({"domain": "flowchart", "samples": [{"id": "orders"}]}, ()),
+    ({"domain": "clevr", "samples": [{"id": "q1", "candidates": CLEVR_POOL,
+                                      "gold_answer": {"value": 3}}]}, ()),
+    ({"domain": "clevr", "samples": [{"id": "q1", "candidates": CLEVR_POOL,
+                                      "gold_answer": {"type": "colour", "value": "red"}}]}, ()),
+    ({"domain": "clevr", "samples": [{"id": "q1", "candidates": CLEVR_POOL,
+                                      "gold_answer": 3}]}, ()),
+    ({"domain": "flowchart", "samples": [{"id": "s1", "candidates": 5}]},
+     ("sample 0", "'candidates'")),
+    ({"domain": "flowchart", "samples": [{"id": "s1", "candidates": POOL},
+                                         {"id": "s2", "candidates": POOL, "reference": None}]},
+     ("sample 1", "'reference'")),
+    ({"domain": "clevr", "samples": [{"id": "q1", "candidates": CLEVR_POOL, "scene": ["x"]}]},
+     ("sample 0", "'scene'")),
+    ({"domain": "flowchart", "methods": "abscon", "samples": [{"id": "s1", "candidates": POOL}]},
+     ("'methods'",)),
 ], ids=["list", "no_samples", "row_without_id", "row_without_candidates",
-        "gold_answer_without_type", "gold_answer_unknown_type", "gold_answer_not_object"])
-def test_bad_manifest_exits_1_with_one_error_line(tmp_path, capsys, manifest):
+        "gold_answer_without_type", "gold_answer_unknown_type", "gold_answer_not_object",
+        "candidates_not_text", "reference_not_text", "scene_not_text", "methods_not_list"])
+def test_bad_manifest_exits_1_with_one_error_line(tmp_path, capsys, manifest, named):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     assert main(["evaluate", str(path), "--out", str(tmp_path / "eval")]) == 1
-    assert _error_line(capsys).startswith(f"manifest {path}")
+    error = _error_line(capsys)
+    assert error.startswith(f"manifest {path}")
+    assert all(word in error for word in named)
 
 
 def test_exec_scene_without_a_field_exits_1_with_one_error_line(tmp_path, capsys):

@@ -11,7 +11,7 @@ from abscon.domains import profile
 from abscon.evaluation import (
     RelationTriple,
     Sample,
-    default_tokenizer,
+    _tokenize,
     evaluate_dataset,
     exact_similarity,
     majority_vote,
@@ -128,7 +128,7 @@ def test_token_overlap():
 
 
 def test_default_tokenizer():
-    assert default_tokenizer("Check stock, now!") == ["check", "stock", ",", "now", "!"]
+    assert _tokenize("Check stock, now!") == ["check", "stock", ",", "now", "!"]
 
 
 def test_mv_identical_candidates_returns_same_graph():

@@ -119,11 +119,12 @@ def test_prompt_bundle_requires_specification():
 
 
 def test_build_bundle_fills_template():
-    bundle = build_bundle("flowchart", "a coffee ordering process")
+    bundle = build_bundle("flowchart", "a coffee ordering process", ["EXAMPLE-ONE"])
     text = bundle.messages()[1]["content"]
     assert "a coffee ordering process" in text
     assert "flowchart TD" in text  # metamodel text mentions the header
     assert "{metamodel}" not in text
+    assert text.count("EXAMPLE-ONE") == 1  # in the template's {examples} slot only
 
 
 def test_sampling_config_validation():

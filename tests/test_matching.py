@@ -15,11 +15,10 @@ from abscon.matching import (
     EXHAUSTIVE_LIMIT,
     _assignment_start,
     _Instance,
-    exhaustive_match,
     match,
     sub_matrix,
 )
-from genutil import build_graph, random_mermaid_graph
+from genutil import build_graph, exhaustive_match, random_mermaid_graph
 
 FLOWCHART = profile("flowchart")
 

@@ -24,10 +24,9 @@ from abscon.similarity import (
     CachingProvider,
     SimilarityMode,
     builtin_embed,
-    cosine,
     similarity_matrix,
 )
-from genutil import WORDS, noisy_candidate, random_flowchart, random_mermaid_graph
+from genutil import WORDS, cosine, noisy_candidate, random_flowchart, random_mermaid_graph
 
 KINDS = [ACTIVITY, DECISION, CONCEPT, clevr_op("count"), clevr_op("filter_color", "red"),
          clevr_op("filter_color", "blue")]
@@ -109,10 +108,11 @@ def test_matrix_entries_do_not_depend_on_matrix_shape():
     left = [Node(f"c{i}", label, ACTIVITY) for i, label in enumerate(labels)]
     right = left[::-1]
     provider = CachingProvider(BuiltinProvider())
-    sim = similarity_matrix(left, right, provider=provider)
+    mode = SimilarityMode.EMBEDDING
+    sim = similarity_matrix(left, right, mode, provider, False)
     for i in range(0, len(left), 9):
         for j, b in enumerate(right):
-            assert sim[i, j] == similarity_matrix([left[i]], [b], provider=provider)[0, 0]
+            assert sim[i, j] == similarity_matrix([left[i]], [b], mode, provider, False)[0, 0]
 
 
 def _random_injection(rng: random.Random, inst: _Instance) -> dict[str, str]:

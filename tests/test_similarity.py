@@ -14,11 +14,14 @@ from abscon.similarity import (
     EMBED_DIM,
     CachingProvider,
     RemoteProvider,
+    BuiltinProvider,
     SimilarityMode,
     builtin_embed,
-    cosine,
     similarity_matrix,
 )
+from genutil import cosine
+
+BUILTIN = BuiltinProvider()
 
 
 def _oracle_embed(text: str) -> np.ndarray:
@@ -68,26 +71,26 @@ def test_word_order_similarity_ranking():
 def test_node_similarity_exact_mode():
     a = Node("1", "Start", ACTIVITY)
     b = Node("2", " start ", ACTIVITY)
-    assert similarity_matrix([a], [b], SimilarityMode.EXACT_LABEL)[0, 0] == 1.0
+    assert similarity_matrix([a], [b], SimilarityMode.EXACT_LABEL, BUILTIN, False)[0, 0] == 1.0
     c = Node("3", "Stop", ACTIVITY)
-    assert similarity_matrix([a], [c], SimilarityMode.EXACT_LABEL)[0, 0] == 0.0
+    assert similarity_matrix([a], [c], SimilarityMode.EXACT_LABEL, BUILTIN, False)[0, 0] == 0.0
 
 
 def test_node_similarity_kind_mismatch_is_zero():
     a = Node("1", "Start", ACTIVITY)
     b = Node("2", "Start", DECISION)
     for mode in SimilarityMode:
-        assert similarity_matrix([a], [b], mode)[0, 0] == 0.0
+        assert similarity_matrix([a], [b], mode, BUILTIN, False)[0, 0] == 0.0
 
 
 def test_node_similarity_embedding_symmetric_in_range():
     a = Node("1", "check stock", ACTIVITY)
     b = Node("2", "verify inventory", ACTIVITY)
-    s1 = similarity_matrix([a], [b], SimilarityMode.EMBEDDING)[0, 0]
-    s2 = similarity_matrix([b], [a], SimilarityMode.EMBEDDING)[0, 0]
+    s1 = similarity_matrix([a], [b], SimilarityMode.EMBEDDING, BUILTIN, False)[0, 0]
+    s2 = similarity_matrix([b], [a], SimilarityMode.EMBEDDING, BUILTIN, False)[0, 0]
     assert s1 == s2
     assert 0.0 < s1 < 1.0
-    assert similarity_matrix([a], [a], SimilarityMode.EMBEDDING)[0, 0] == 1.0
+    assert similarity_matrix([a], [a], SimilarityMode.EMBEDDING, BUILTIN, False)[0, 0] == 1.0
 
 
 class _StubEmbedHandler(BaseHTTPRequestHandler):
