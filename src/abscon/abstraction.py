@@ -125,24 +125,13 @@ class PartialModel:
 
 
 def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialModel:
-    """Fold candidates into a partial model, seeding with the first and
-    matching the rest against the representative-label view."""
+    """Fold candidates into a partial model: the first seeds it, and each
+    later one is matched against the representative-label view."""
     if not candidates:
         raise ValueError("at least one candidate is required")
     model = PartialModel(n_candidates=len(candidates))
-
-    first = candidates[0]
-    seed_map: dict[str, str] = {}
-    for node_id in sorted(first.nodes):
-        node = first.nodes[node_id]
-        seed_map[node_id] = model.new_node(node.label, node.kind)
-    for edge in first.edges:
-        key = edge_key(seed_map[edge.source], seed_map[edge.target], edge.label)
-        model.edges[key] = PartialElement(1, Counter({edge.label: 1}))
-
-    for candidate in candidates[1:]:
-        result = match(candidate, model.view(), profile)
-        node_map = dict(result.node_map)
+    for i, candidate in enumerate(candidates):
+        node_map = dict(match(candidate, model.view(), profile).node_map) if i else {}
         for node_id in sorted(candidate.nodes):
             node = candidate.nodes[node_id]
             if node_id in node_map:

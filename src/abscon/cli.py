@@ -50,12 +50,33 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
+# Config keys the profile checks; domain and sampling are checked where
+# they are read, the rest in _load_config.
+_PROFILE_KEYS = ("tau", "match_timeout", "solve_timeout", "case_sensitive_labels")
+_CONFIG_KEYS = {*_PROFILE_KEYS, "domain", "sampling", "description", "examples",
+                "embedding_endpoint", "embedding_fallback"}
+
+
 def _load_config(args) -> dict:
-    config = {}
-    if getattr(args, "config", None):
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(config, dict):
-            raise IoError(f"config {args.config} must hold a JSON object")
+    """The config file, checked whole: an unknown key or a value of the
+    wrong type raises IoError before any stage runs."""
+    if not getattr(args, "config", None):
+        return {}
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise IoError(f"config {args.config} must hold a JSON object")
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise IoError(f"config {args.config} has unknown keys {unknown}")
+    for key in ("description", "embedding_endpoint"):
+        if not isinstance(config.get(key, ""), str):
+            raise IoError(f"config {key!r} must be a string, not {config[key]!r}")
+    if not isinstance(config.get("embedding_fallback", False), bool):
+        raise IoError(f"config 'embedding_fallback' must be true or false,"
+                      f" not {config['embedding_fallback']!r}")
+    examples = config.get("examples", [])
+    if not isinstance(examples, list) or not all(isinstance(e, str) for e in examples):
+        raise IoError(f"config 'examples' must be a list of strings, not {examples!r}")
     return config
 
 
@@ -63,17 +84,13 @@ def _profile_from(args, config: dict) -> DomainProfile:
     domain = args.domain or config.get("domain")
     if domain not in DOMAINS:
         raise IoError(f"unknown or missing domain {domain!r}")
-    overrides = {}
-    for key in ("tau", "match_timeout", "solve_timeout", "case_sensitive_labels",
-                "taxonomy_require_connected"):
-        if key in config:
-            overrides[key] = config[key]
+    overrides = {key: config[key] for key in _PROFILE_KEYS if key in config}
     if config.get("embedding_endpoint"):
         from .similarity import CachingProvider, RemoteProvider
 
         overrides["provider"] = CachingProvider(
             RemoteProvider(config["embedding_endpoint"]),
-            fallback_to_builtin=bool(config.get("embedding_fallback", False)),
+            fallback_to_builtin=config.get("embedding_fallback", False),
         )
     if getattr(args, "timeout_match", None) is not None:
         overrides["match_timeout"] = args.timeout_match

@@ -20,7 +20,6 @@ from .constraints import (
     check,
     edge_var,
     node_var,
-    source_kind_ok,
 )
 from .domains import DomainProfile
 from .errors import InfeasibleModel, TooLarge
@@ -111,13 +110,17 @@ class _Solver:
     must be recomputed. Only the totals are taken over all nodes, with
     builtin sum and max, so no float total drifts over many undos.
 
+    It relies on the rules build_problem() states for every domain: a
+    single source, from which every node is reachable. The other whole-graph
+    rules (acyclic, single_sink) it reads from the problem.
+
     The bound charges every edge to its target, or to its source when the
-    source has a minimum out-degree (a flowchart decision). Under
-    single_source each selected node but one (the root) has at least one
-    selected in-edge, and at most as many as its stated in-degree limit. So a
-    node's term is its weight plus its best admissible choice of the edges
-    charged to it (clipped at 0 while the node is free), and the best root
-    waiver (root term minus that term) is added once.
+    source has a minimum out-degree (a flowchart decision). Under the single
+    source each selected node but one (the root) has at least one selected
+    in-edge, and at most as many as its stated in-degree limit. So a node's
+    term is its weight plus its best admissible choice of the edges charged
+    to it (clipped at 0 while the node is free), and the best root waiver
+    (root term minus that term) is added once.
     """
 
     def __init__(self, problem: ConstraintProblem, timeout: float):
@@ -134,11 +137,8 @@ class _Solver:
         self.values = [-1] * n_vars
         self.trail: list[int] = []
 
-        kinds = {g.kind for g in problem.global_cs}
-        self.acyclic = "acyclic" in kinds
-        self.single_source = "single_source" in kinds
-        self.single_sink = "single_sink" in kinds
-        self.reachable = "reachable_from_source" in kinds
+        self.acyclic = "acyclic" in problem.global_rules
+        self.single_sink = "single_sink" in problem.global_rules
 
         # Nodes get positions 0..n-1; edges carry their endpoints' positions.
         self.node_vi = [self.index[v] for v in problem.nodes]
@@ -164,11 +164,8 @@ class _Solver:
         self.n_in = [len(es) for es in self.in_edges]
         self.n_out = [len(es) for es in self.out_adj]
 
-        # What the problem states about each node: whether it may be the
-        # source, and its degree limits.
+        # What the problem states about each node: its degree limits.
         nodes = list(problem.nodes.values())
-        source_kinds = [g.param for g in problem.global_cs if g.kind == "source_kind_is"]
-        self.bad_root = [not all(source_kind_ok(nv.kind, k) for k in source_kinds) for nv in nodes]
         self.cap_in = [c if nv.max_in is None else min(c, nv.max_in) for c, nv in zip(self.n_in, nodes)]
         self.min_out = [nv.min_out for nv in nodes]
         min_in = [nv.min_in for nv in nodes]
@@ -198,7 +195,7 @@ class _Solver:
         self.in_foreign = [[e for e in es if self.min_out[self.ends[e][2]]] for es in self.in_edges]
         self.out_sorted = [by_weight([e for e, _ in adj]) if self.min_out[p] else []
                            for p, adj in enumerate(self.out_adj)]
-        self.lo_in = [max(m, 1) for m in min_in] if self.single_source else min_in
+        self.lo_in = [max(m, 1) for m in min_in]
 
         # Incremental state. Node sets are bitmasks over positions: alive
         # (not fixed to 0), selected, potential sources, and per node the
@@ -224,7 +221,6 @@ class _Solver:
         self.must_root: set[int] = set()
         self.flags = [(False, False, False, False)] * n
         self.n_dsrc = 0
-        self.n_dsrc_bad = 0
         self.n_psink = 0
         self.n_dsink = 0
         self.dirty = set(range(n))
@@ -402,8 +398,6 @@ class _Solver:
             if flags[0] != old[0]:
                 self.potential ^= 1 << p
             self.n_dsrc += dsrc - old[1]
-            if self.bad_root[p]:
-                self.n_dsrc_bad += dsrc - old[1]
             self.n_psink += psink - old[2]
             self.n_dsink += dsink - old[3]
 
@@ -456,8 +450,6 @@ class _Solver:
         if self.dirty:
             self._flush()
         must = self.must_root
-        if not self.single_source:
-            return -math.inf if must else sum(self.term)
         if must:
             if len(must) > 1:
                 return -math.inf
@@ -471,8 +463,6 @@ class _Solver:
         if self.dirty:
             self._flush()
         tie = sum(self.tie)
-        if not self.single_source:
-            return tie
         if self.must_root:
             return tie + max(self.root_tie[p] for p in self.must_root)
         # The root counts its root choice instead of its non-root one.
@@ -492,14 +482,11 @@ class _Solver:
                 if self._reaches(self.ends[e][3], self.ends[e][2]):
                     return True
             self.new_ones.clear()
-        if self.single_source:
-            # Two selected nodes without any possible in-edge, or selected
-            # nodes but none that can still be a source.
-            if self.n_dsrc > 1 or (self.selected and not self.potential):
-                return True
-        if self.n_dsrc_bad:
+        # Two selected nodes without any possible in-edge, or selected nodes
+        # but none that can still be a source.
+        if self.n_dsrc > 1 or (self.selected and not self.potential):
             return True
-        if self.reachable and self.selected and not self._all_reachable():
+        if self.selected and not self._all_reachable():
             return True
         if self.single_sink:
             if self.n_dsink > 1 or (self.selected and not self.n_psink):

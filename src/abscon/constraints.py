@@ -2,6 +2,12 @@
 model selection variables, plus a solver-independent checker for concrete
 graphs. Both sides are built from the same graph predicates so that an
 assignment satisfies the problem exactly when the induced graph checks out.
+
+The encoding states each rule once: build_problem() the rules every domain
+shares, each domain builder only its own, and no rule that the others
+already imply. check() restates every rule, implied ones included, on
+purpose: it is the independent statement that brute_force() and the
+agreement tests hold the encoding to.
 """
 from __future__ import annotations
 
@@ -30,12 +36,6 @@ class LinearConstraint:
         if self.relation == GE:
             return lhs >= self.bound
         return lhs == self.bound
-
-
-@dataclass(frozen=True)
-class GlobalConstraint:
-    kind: str  # acyclic | single_source | single_sink | reachable_from_source | source_kind_is
-    param: str | None = None
 
 
 @dataclass
@@ -75,7 +75,8 @@ class ConstraintProblem:
     edges: dict[str, EdgeVar] = field(default_factory=dict)
     fixed: dict[str, int] = field(default_factory=dict)
     linear: list[LinearConstraint] = field(default_factory=list)
-    global_cs: list[GlobalConstraint] = field(default_factory=list)
+    # Whole-graph rules: acyclic | single_source | single_sink | reachable_from_source
+    global_rules: tuple[str, ...] = ()
     weights: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -104,11 +105,7 @@ class ConstraintProblem:
             if not lc.evaluate({v: assignment.get(v, 0) for _, v in lc.terms}):
                 return False
         nodes, edges = self.selected_structure(assignment)
-        node_kinds = {v: self.nodes[v].kind for v in nodes}
-        for gc in self.global_cs:
-            if not global_holds(gc, nodes, edges, node_kinds):
-                return False
-        return True
+        return all(global_holds(rule, nodes, edges) for rule in self.global_rules)
 
     def induced_graph(self, assignment: dict[str, int]) -> LabeledGraph | None:
         """Materialize the selected elements; None when an edge dangles. The
@@ -191,30 +188,16 @@ def unreachable_from_sources(nodes: set[str], edges: list[tuple[str, str, str]])
     return sorted(n for n in nodes if n not in seen)
 
 
-def source_kind_ok(kind: NodeKind, param: str | None) -> bool:
-    """May a node of this kind be a source under source_kind_is(param)?"""
-    if param == "scene":
-        return kind.is_clevr and kind.op == "scene"
-    return kind.kind == param
-
-
-def global_holds(
-    gc: GlobalConstraint,
-    nodes: set[str],
-    edges: list[tuple[str, str, str]],
-    node_kinds: dict[str, NodeKind],
-) -> bool:
-    if gc.kind == "acyclic":
+def global_holds(rule: str, nodes: set[str], edges: list[tuple[str, str, str]]) -> bool:
+    if rule == "acyclic":
         return not find_cycle(nodes, edges)
-    if gc.kind == "single_source":
+    if rule == "single_source":
         return len(source_nodes(nodes, edges)) == 1
-    if gc.kind == "single_sink":
+    if rule == "single_sink":
         return len(sink_nodes(nodes, edges)) == 1
-    if gc.kind == "reachable_from_source":
+    if rule == "reachable_from_source":
         return not unreachable_from_sources(nodes, edges)
-    if gc.kind == "source_kind_is":
-        return all(source_kind_ok(node_kinds[n], gc.param) for n in source_nodes(nodes, edges))
-    raise ValueError(f"unknown global constraint {gc.kind!r}")
+    raise ValueError(f"unknown global rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +205,14 @@ def global_holds(
 
 
 def build_problem(partial: PartialModel, profile: DomainProfile) -> ConstraintProblem:
-    if profile.name not in (FLOWCHART, TAXONOMY, CLEVR):
+    """The rules every domain shares, then the domain's own. An edge needs
+    both endpoints: satisfied() checks that and the solver propagates it, so
+    it takes no row."""
+    domain_rules = _DOMAIN_BUILDERS.get(profile.name)
+    if domain_rules is None:
         raise UnknownDomain(profile.name)
-    problem = ConstraintProblem(profile)
+    # One source, from which every node is reachable.
+    problem = ConstraintProblem(profile, global_rules=("single_source", "reachable_from_source"))
     for elem_id, elem in partial.nodes.items():
         var = node_var(elem_id)
         problem.nodes[var] = NodeVar(var, elem_id, elem.kind, elem.representative_label)
@@ -232,19 +220,13 @@ def build_problem(partial: PartialModel, profile: DomainProfile) -> ConstraintPr
         var = edge_var(key)
         problem.edges[var] = EdgeVar(var, node_var(key[0]), node_var(key[1]),
                                      elem.representative_label, key[2])
-
-    # An edge needs both endpoints: satisfied() checks that and the solver
-    # propagates it, so it takes no row.
+        if key[0] == key[1]:
+            problem.fixed[var] = 0  # no self-loops
+    # Single source implies this row; the solver's propagation still uses it.
     problem.linear.append(
         LinearConstraint(tuple((1, v) for v in problem.nodes), GE, 1, "at_least_one_node")
     )
-
-    if profile.name == FLOWCHART:
-        _flowchart_constraints(problem)
-    elif profile.name == TAXONOMY:
-        _taxonomy_constraints(problem)
-    else:
-        _clevr_constraints(problem)
+    domain_rules(problem)
     return problem
 
 
@@ -272,11 +254,6 @@ def _degree_row(problem: ConstraintProblem, nvar: str, edge_vars: list[str],
 
 
 def _flowchart_constraints(problem: ConstraintProblem) -> None:
-    problem.global_cs.append(GlobalConstraint("single_source"))
-    problem.global_cs.append(GlobalConstraint("reachable_from_source"))
-    for var, edge in problem.edges.items():
-        if edge.source == edge.target:
-            problem.fixed[var] = 0  # no self-cycles
     for nvar, node in problem.nodes.items():
         if node.kind == DECISION:
             out_vars = _out_edge_vars(problem, nvar)
@@ -287,13 +264,7 @@ def _flowchart_constraints(problem: ConstraintProblem) -> None:
 
 
 def _taxonomy_constraints(problem: ConstraintProblem) -> None:
-    problem.global_cs.append(GlobalConstraint("acyclic"))
-    problem.global_cs.append(GlobalConstraint("single_source"))
-    if problem.profile.taxonomy_require_connected:
-        problem.global_cs.append(GlobalConstraint("reachable_from_source"))
-    for var, edge in problem.edges.items():
-        if edge.source == edge.target:
-            problem.fixed[var] = 0
+    problem.global_rules += ("acyclic",)
     for nvar in problem.nodes:
         in_vars = _in_edge_vars(problem, nvar)
         if in_vars:
@@ -303,11 +274,9 @@ def _taxonomy_constraints(problem: ConstraintProblem) -> None:
 def _clevr_constraints(problem: ConstraintProblem) -> None:
     from . import clevr as clevr_ops  # the op catalog; other domains never load it
 
-    problem.global_cs.append(GlobalConstraint("acyclic"))
-    problem.global_cs.append(GlobalConstraint("single_source"))
-    problem.global_cs.append(GlobalConstraint("single_sink"))
-    problem.global_cs.append(GlobalConstraint("reachable_from_source"))
-    problem.global_cs.append(GlobalConstraint("source_kind_is", "scene"))
+    # Every op but scene has arity >= 1, and its arity row gives it that many
+    # parents, so only a scene can be the source: that rule takes no row.
+    problem.global_rules += ("acyclic", "single_sink")
 
     def entry_of(node: NodeVar):
         if node.kind.is_clevr:
@@ -315,9 +284,6 @@ def _clevr_constraints(problem: ConstraintProblem) -> None:
         return None
 
     for var, edge in problem.edges.items():
-        if edge.source == edge.target:
-            problem.fixed[var] = 0
-            continue
         src_entry = entry_of(problem.nodes[edge.source])
         tgt_entry = entry_of(problem.nodes[edge.target])
         if src_entry is None or tgt_entry is None:
@@ -342,6 +308,10 @@ def _clevr_constraints(problem: ConstraintProblem) -> None:
                 pos_vars = [v for v in in_vars if problem.edges[v].norm_label == pos]
                 terms = tuple((1, v) for v in pos_vars) + ((-1, nvar),)
                 problem.linear.append(LinearConstraint(terms, EQ, 0, f"arg_position_{pos}"))
+
+
+_DOMAIN_BUILDERS = {FLOWCHART: _flowchart_constraints, TAXONOMY: _taxonomy_constraints,
+                 CLEVR: _clevr_constraints}
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +342,7 @@ def check(graph: LabeledGraph, profile: DomainProfile) -> ConsistencyReport:
     if profile.name == FLOWCHART:
         violations = _check_flowchart(graph)
     elif profile.name == TAXONOMY:
-        violations = _check_taxonomy(graph, profile)
+        violations = _check_taxonomy(graph)
     elif profile.name == CLEVR:
         violations = _check_clevr(graph)
     else:
@@ -413,7 +383,7 @@ def _check_flowchart(graph: LabeledGraph) -> list[Violation]:
     return violations
 
 
-def _check_taxonomy(graph: LabeledGraph, profile: DomainProfile) -> list[Violation]:
+def _check_taxonomy(graph: LabeledGraph) -> list[Violation]:
     nodes, edges = _structure(graph)
     violations = []
     cyclic = find_cycle(nodes, edges)
@@ -426,10 +396,9 @@ def _check_taxonomy(graph: LabeledGraph, profile: DomainProfile) -> list[Violati
     multi = sorted(n for n in nodes if indeg[n] > 1)
     if multi:
         violations.append(Violation("single_parent", tuple(multi)))
-    if profile.taxonomy_require_connected:
-        unreachable = unreachable_from_sources(nodes, edges)
-        if unreachable:
-            violations.append(Violation("reachable_from_root", tuple(unreachable)))
+    unreachable = unreachable_from_sources(nodes, edges)
+    if unreachable:
+        violations.append(Violation("reachable_from_root", tuple(unreachable)))
     return violations
 
 
@@ -459,7 +428,7 @@ def _check_clevr(graph: LabeledGraph) -> list[Violation]:
         violations.append(Violation("operation_kind", tuple(bad_kind)))
         return violations
 
-    non_scene = [n for n in sources if not source_kind_ok(graph.nodes[n].kind, "scene")]
+    non_scene = [n for n in sources if graph.nodes[n].kind.op != "scene"]
     if non_scene:
         violations.append(Violation("source_is_scene", tuple(non_scene)))
 

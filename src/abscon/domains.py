@@ -25,7 +25,6 @@ class DomainProfile:
     match_timeout: float = 5.0
     solve_timeout: float = 60.0
     case_sensitive_labels: bool = False
-    taxonomy_require_connected: bool = True
 
     def __post_init__(self):
         # Every profile, overrides included (dataclasses.replace re-runs
@@ -36,9 +35,9 @@ class DomainProfile:
             value = getattr(self, name)
             if not _is_number(value) or not value >= 0.0:
                 raise ValueError(f"{name} must be a non-negative number, not {value!r}")
-        for name in ("case_sensitive_labels", "taxonomy_require_connected"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
+        if not isinstance(self.case_sensitive_labels, bool):
+            raise ValueError("case_sensitive_labels must be true or false,"
+                             f" not {self.case_sensitive_labels!r}")
 
 
 def _is_number(value) -> bool:

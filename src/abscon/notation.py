@@ -9,6 +9,9 @@ Supported forms:
     label line declares an isolated concept.
   * Clevr program: one ``name: op[param](arg0, arg1)`` line per operation,
     argument order giving edge positions.
+
+Each notation has one node-label rule, which its parser and its serializer
+share: a label the parser accepts is one the serializer can write back.
 """
 from __future__ import annotations
 
@@ -83,6 +86,15 @@ _ENDPOINT = re.compile(r"^(\w+)\s*(\[([^\]]*)\]|\{([^}]*)\})?\s*$")
 _EDGE = re.compile(r"^(.*?)\s*-->\s*(?:\|([^|]*)\|\s*)?(.*)$")
 
 
+def _one_line(label: str) -> bool:
+    """Non-empty and free of line breaks of any kind parse splits on."""
+    return label.splitlines() == [label]
+
+
+def _mermaid_label_ok(label: str) -> bool:
+    return _one_line(label) and not re.search(r"[\[\]{}|]|-->", label)
+
+
 def _parse_mermaid(text: str) -> ParsedCandidate:
     g = LabeledGraph()
     warnings: list[str] = []
@@ -129,6 +141,8 @@ def _mermaid_declare(m: re.Match, declared: dict, lineno: int) -> str:
     kind = DECISION if m.group(2).startswith("{") else ACTIVITY
     label = (m.group(3) if m.group(3) is not None else m.group(4)) or node_id
     label = label.strip() or node_id
+    if not _mermaid_label_ok(label):
+        raise ModelSyntaxError(f"label {label!r} not representable in mermaid", lineno)
     if node_id in declared:
         prev_label, prev_kind = declared[node_id]
         if (prev_label, prev_kind) != (label, kind) and (prev_label, prev_kind) != (node_id, ACTIVITY):
@@ -158,9 +172,7 @@ def _serialize_mermaid(graph: LabeledGraph) -> str:
         node = graph.nodes[node_id]
         if node.kind not in (ACTIVITY, DECISION):
             raise IncompatibleNotation(f"node kind {node.kind.kind} not valid in a flowchart")
-        if not node.label:
-            raise IncompatibleNotation("flowchart nodes need a non-empty label")
-        if re.search(r"[\[\]{}|\n]", node.label) or "-->" in node.label:
+        if not _mermaid_label_ok(node.label):
             raise IncompatibleNotation(f"label {node.label!r} not representable in mermaid")
         open_b, close_b = ("{", "}") if node.kind == DECISION else ("[", "]")
         lines.append(f"{ids[node_id]}{open_b}{node.label}{close_b}")
@@ -201,6 +213,11 @@ def _printable_ids(graph: LabeledGraph) -> dict[str, str]:
 _TAX_EDGE = re.compile(r"^(.+?)\s*->\s*(.+)$")
 
 
+def _concept_label_ok(label: str) -> bool:
+    """No arrow, and no leading '#', which would make a bare line a comment."""
+    return _one_line(label) and "->" not in label and not label.startswith("#")
+
+
 def _parse_taxonomy(text: str) -> ParsedCandidate:
     g = LabeledGraph()
     warnings: list[str] = []
@@ -208,8 +225,8 @@ def _parse_taxonomy(text: str) -> ParsedCandidate:
 
     def concept(label: str, lineno: int) -> str:
         label = label.strip()
-        if not label:
-            raise ModelSyntaxError("empty concept label", lineno)
+        if not _concept_label_ok(label):
+            raise ModelSyntaxError(f"label {label!r} not representable as a concept", lineno)
         key = normalize_label(label)
         if key not in by_label:
             by_label[key] = g.add_node(label, CONCEPT)
@@ -240,7 +257,7 @@ def _serialize_taxonomy(graph: LabeledGraph) -> str:
     for node in graph.nodes.values():
         if node.kind != CONCEPT:
             raise IncompatibleNotation(f"node kind {node.kind.kind} not valid in a taxonomy")
-        if not node.label or "->" in node.label or "\n" in node.label:
+        if not _concept_label_ok(node.label):
             raise IncompatibleNotation(f"label {node.label!r} not representable as a concept")
     for edge in graph.edges:
         lines.append(f"{graph.nodes[edge.source].label} -> {graph.nodes[edge.target].label}")

@@ -378,19 +378,29 @@ def _error_line(capsys) -> str:
     return json.loads(line)["error"]
 
 
-@pytest.mark.parametrize("config", [
-    ["flowchart"],
-    {"domain": "flowchart", "tau": "abc"},
-    {"domain": "flowchart", "tau": 1.5},
-    {"domain": "flowchart", "match_timeout": -1},
-    {"domain": "flowchart", "case_sensitive_labels": "yes"},
-], ids=["list", "tau_text", "tau_above_1", "negative_timeout", "toggle_text"])
-def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config):
+@pytest.mark.parametrize("config, named", [
+    (["flowchart"], ()),
+    ({"domain": "flowchart", "tau": "abc"}, ()),
+    ({"domain": "flowchart", "tau": 1.5}, ()),
+    ({"domain": "flowchart", "match_timeout": -1}, ()),
+    ({"domain": "flowchart", "case_sensitive_labels": "yes"}, ()),
+    ({"domain": "flowchart", "solve_timout": 0.01}, ("'solve_timout'",)),
+    ({"domain": "taxonomy", "taxonomy_require_connected": True}, ("'taxonomy_require_connected'",)),
+    ({"domain": "flowchart", "embedding_fallback": "false"}, ("'embedding_fallback'",)),
+    ({"domain": "flowchart", "description": 5}, ("'description'",)),
+    ({"domain": "flowchart", "examples": "EX"}, ("'examples'",)),
+    ({"domain": "flowchart", "examples": ["EX", 5]}, ("'examples'",)),
+    ({"domain": "flowchart", "embedding_endpoint": 5}, ("'embedding_endpoint'",)),
+], ids=["list", "tau_text", "tau_above_1", "negative_timeout", "toggle_text", "unknown_key",
+        "removed_key", "fallback_text", "description_not_text", "examples_text",
+        "examples_not_all_text", "endpoint_not_text"])
+def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["pipeline", "--config", str(path), "--candidates", str(DATA / "fig2_pool"),
                  "--out", str(tmp_path / "run")]) == 1
-    _error_line(capsys)
+    error = _error_line(capsys)
+    assert all(word in error for word in named), error
     assert not (tmp_path / "run").exists()
 
 

@@ -17,6 +17,7 @@ from abscon.graph import ACTIVITY, CONCEPT, DECISION, LabeledGraph
 from genutil import (
     build_graph,
     candidate_pool,
+    random_clevr_program,
     random_flowchart,
     random_partial_model,
     random_taxonomy_tree,
@@ -36,8 +37,7 @@ def test_build_problem_two_node_flowchart():
     problem = build_problem(partial, profile("flowchart"))
     problem.weights = weights(partial)
     assert len(problem.variables) == 3
-    kinds = [gc.kind for gc in problem.global_cs]
-    assert kinds == ["single_source", "reachable_from_source"]
+    assert problem.global_rules == ("single_source", "reachable_from_source")
     assert any(c.name == "at_least_one_node" for c in problem.linear)
 
     # An edge needs both endpoints by rule, not by an edge <= endpoint row.
@@ -155,18 +155,16 @@ def test_check_taxonomy_cycle_and_multi_parent():
     assert "single_parent" in names
 
 
-def test_check_taxonomy_connected_toggle():
+def test_check_taxonomy_rootless_cycle_is_unreachable():
     # a -> b plus a rootless cycle c <-> d
     g = build_graph(
         [("a", "animal", CONCEPT), ("b", "dog", CONCEPT),
          ("c", "rock", CONCEPT), ("d", "granite", CONCEPT)],
         [("a", "b", ""), ("c", "d", ""), ("d", "c", "")],
     )
-    strict = check(g, profile("taxonomy"))
-    assert any(v.name == "reachable_from_root" for v in strict.violations)
-    loose = check(g, profile("taxonomy", taxonomy_require_connected=False))
-    assert not any(v.name == "reachable_from_root" for v in loose.violations)
-    assert not loose.consistent  # the cycle still violates acyclicity
+    names = {v.name: v.witnesses for v in check(g, profile("taxonomy")).violations}
+    assert names["reachable_from_root"] == ("c", "d")
+    assert "acyclic" in names  # which an unreachable node always comes with here
 
 
 def test_check_empty_graph_inconsistent_everywhere():
@@ -207,6 +205,7 @@ def test_check_clevr_violations():
 @pytest.mark.parametrize("domain,builder", [
     ("flowchart", random_flowchart),
     ("taxonomy", random_taxonomy_tree),
+    pytest.param("clevr", lambda rng, n: random_clevr_program(rng), id="clevr-random_clevr_program"),
 ])
 def test_problem_checker_agreement_small(domain, builder):
     rng = random.Random(17)
@@ -225,6 +224,39 @@ def test_problem_checker_agreement_small(domain, builder):
             graph = problem.induced_graph(assignment)
             rhs = graph is not None and check(graph, prof).consistent
             assert lhs == rhs, (domain, assignment)
+
+
+@pytest.mark.parametrize("domain", ["flowchart", "taxonomy", "clevr"])
+def test_every_problem_states_the_shared_rules(domain):
+    rng = random.Random(domain)
+    for _ in range(20):
+        problem = build_problem(random_partial_model(rng, domain), profile(domain))
+        assert problem.global_rules[:2] == ("single_source", "reachable_from_source")
+        assert len(set(problem.global_rules)) == len(problem.global_rules)
+        assert [c.name for c in problem.linear].count("at_least_one_node") == 1
+        loops = [v for v, e in problem.edges.items() if e.source == e.target]
+        assert all(problem.fixed.get(v) == 0 for v in loops)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), domain=st.sampled_from(["taxonomy", "clevr"]))
+def test_rules_left_out_of_the_encoding_are_implied(seed, domain):
+    # The encoding relies on these: an acyclic graph with one source reaches
+    # every node from it, and arity gives every op but scene a parent.
+    rng = random.Random(seed)
+    partial = random_partial_model(rng, domain)
+    g = LabeledGraph()
+    for elem_id, elem in partial.nodes.items():
+        if rng.random() < 0.8:
+            g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
+    for (src, tgt, _), elem in partial.edges.items():
+        if src in g.nodes and tgt in g.nodes and rng.random() < 0.8:
+            g.add_edge(src, tgt, elem.representative_label)
+    names = {v.name for v in check(g, profile(domain)).violations}
+    if names & {"reachable_from_root", "reachable_from_source"}:
+        assert names & {"acyclic", "single_root", "single_source"}, names
+    if "source_is_scene" in names:
+        assert "arity" in names, names
 
 
 @settings(max_examples=150)

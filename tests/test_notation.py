@@ -73,6 +73,24 @@ def test_parse_taxonomy_empty_side_is_error():
         parse("animal -> ", Notation.TAXONOMY_EDGES)
 
 
+@pytest.mark.parametrize("text,notation", [
+    ("animal -> dog -> puppy", Notation.TAXONOMY_EDGES),
+    ("animal -> #dog", Notation.TAXONOMY_EDGES),
+    ("flowchart TD\na[start {now}] --> b[end]", Notation.MERMAID_FLOWCHART),
+    ("flowchart TD\na[start|now]", Notation.MERMAID_FLOWCHART),
+])
+def test_parse_rejects_labels_serialize_cannot_write(text, notation):
+    with pytest.raises(ModelSyntaxError, match="not representable"):
+        parse(text, notation)
+
+
+def test_serialize_rejects_isolated_concept_read_as_comment():
+    g = LabeledGraph()
+    g.add_node("#dog", CONCEPT)
+    with pytest.raises(IncompatibleNotation):
+        serialize(g, Notation.TAXONOMY_EDGES)
+
+
 def test_parse_clevr():
     text = "n0: scene()\nn1: filter_color[red](n0)\nn2: exist(n1)"
     g = parse(text, Notation.CLEVR_PROGRAM).graph
@@ -163,9 +181,12 @@ SYNTAX = {
 @settings(max_examples=500)
 @given(notation=st.sampled_from(list(Notation)), data=st.data())
 def test_parse_raises_only_syntax_errors(notation, data):
+    # ... and whatever it accepts, serialize writes and parse reads back.
     soup = st.lists(st.sampled_from(SYNTAX[notation]), max_size=40).map("".join)
     text = data.draw(st.one_of(st.text(max_size=200), soup))
     try:
-        parse(text, notation)
+        graph = parse(text, notation).graph
     except ModelSyntaxError:
-        pass
+        return
+    back = parse(serialize(graph, notation), notation).graph
+    assert graph_signature(back) == graph_signature(graph)
