@@ -23,7 +23,7 @@ from .constraints import check
 from .domains import DOMAINS, DomainProfile, profile as make_profile
 from .errors import AbsconError, IoError
 from .llm import SamplingConfig, build_bundle, load_candidates, sample_candidates
-from .notation import EXTENSION_FOR, EXTENSIONS, parse, serialize
+from .notation import EXTENSION_FOR, EXTENSIONS, Notation, parse, serialize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,10 +101,10 @@ def _profile_from(args, config: dict) -> DomainProfile:
     return make_profile(domain, **overrides)
 
 
-def _read_graph(path: Path):
-    notation = EXTENSIONS.get(path.suffix)
-    if notation is None:
-        raise IoError(f"unknown candidate extension {path.suffix!r}")
+def _read_graph(path: Path, notation: Notation):
+    """Parse a graph file; its extension must name the expected notation."""
+    if EXTENSIONS.get(path.suffix) != notation:
+        raise IoError(f"{path}: expected a {notation.value} file ({EXTENSION_FOR[notation]})")
     return parse(path.read_text(encoding="utf-8"), notation).graph
 
 
@@ -189,7 +189,7 @@ def cmd_concretize(args) -> int:
 def cmd_check(args) -> int:
     config = _load_config(args)
     profile = _profile_from(args, config)
-    graph = _read_graph(Path(args.graph))
+    graph = _read_graph(Path(args.graph), profile.notation)
     report = check(graph, profile)
     print(report.to_json(), end="")
     return EXIT_OK if report.consistent else EXIT_INCONSISTENT
@@ -198,7 +198,7 @@ def cmd_check(args) -> int:
 def cmd_exec(args) -> int:
     from . import clevr as clevr_exec
 
-    program = _read_graph(Path(args.program))
+    program = _read_graph(Path(args.program), Notation.CLEVR_PROGRAM)
     scene = clevr_exec.Scene.from_json(Path(args.scene).read_text(encoding="utf-8"))
     answer = clevr_exec.execute(program, scene)
     print(_dump_json(clevr_exec.answer_to_json(answer)), end="")
@@ -238,7 +238,7 @@ def cmd_evaluate(args) -> int:
         candidates, greedy_index = load_candidates(base / row["candidates"], profile.notation)
         sample = Sample(row["id"], [c.graph for c in candidates], greedy_index)
         if "reference" in row:
-            sample.reference = _read_graph(base / row["reference"])
+            sample.reference = _read_graph(base / row["reference"], profile.notation)
         if "scene" in row:
             sample.scene = clevr_exec.Scene.from_json(
                 (base / row["scene"]).read_text(encoding="utf-8")

@@ -104,11 +104,13 @@ def _best_choice(edges, values, need: int, slots: int) -> tuple[float, int, int,
 class _Solver:
     """Depth-first branch and bound over the binary selection variables.
 
-    A search node costs time in proportion to what changed there: assign()
-    and undo_to() keep linear-row sums and per-node counts of in- and
-    out-edges fixed to 1 and to 0, and mark the nodes whose bound terms
-    must be recomputed. Only the totals are taken over all nodes, with
-    builtin sum and max, so no float total drifts over many undos.
+    A search node costs time in proportion to what changed there. One
+    update, _shift(), applies a variable's fixing in assign() and takes it
+    back in undo_to(): it keeps the linear-row sums, the node bitmasks and
+    per-node counts of in- and out-edges fixed to 1 and to 0, and marks the
+    nodes whose bound terms must be recomputed. Only the totals are taken
+    over all nodes, with builtin sum and max, so no float total drifts over
+    many undos.
 
     It relies on the rules build_problem() states for every domain: a
     single source, from which every node is reachable. The other whole-graph
@@ -241,77 +243,55 @@ class _Solver:
         self.values[vi] = value
         self.trail.append(vi)
         queue.append(vi)
-        row_lo, row_hi = self.row_lo, self.row_hi
-        ends = self.ends[vi]
-        if value:
-            for ci, pos, neg in self.watch[vi]:
-                row_lo[ci] += pos
-                row_hi[ci] += neg
-            if ends is None:
-                p = self.pos[vi]
-                self.selected |= 1 << p
-                self.dirty.add(p)
-                return True
-            self.in1[ends[3]] += 1
-            self.out1[ends[2]] += 1
-            self.new_ones.append(vi)
-        else:
-            for ci, pos, neg in self.watch[vi]:
-                row_lo[ci] -= neg
-                row_hi[ci] -= pos
-            if ends is None:
-                p = self.pos[vi]
-                self.alive &= ~(1 << p)
-                self.dirty.add(p)
-                return True
-            self.in0[ends[3]] += 1
-            self.out0[ends[2]] += 1
-            k = ends[4]
-            self.pair_live[k] -= 1
-            if not self.pair_live[k]:
-                self.live_out[ends[2]] &= ~(1 << ends[3])
-        self.dirty.add(ends[3])
-        if self.single_sink or self.min_out[ends[2]]:
-            self.dirty.add(ends[2])
+        self._shift(vi, value, 1)
         return True
 
     def undo_to(self, mark: int) -> None:
         trail, values = self.trail, self.values
-        row_lo, row_hi, dirty = self.row_lo, self.row_hi, self.dirty
         while len(trail) > mark:
             vi = trail.pop()
-            value = values[vi]
+            self._shift(vi, values[vi], -1)
             values[vi] = -1
-            ends = self.ends[vi]
-            if value:
-                for ci, pos, neg in self.watch[vi]:
-                    row_lo[ci] -= pos
-                    row_hi[ci] -= neg
-                if ends is None:
-                    self.selected &= ~(1 << self.pos[vi])
-                else:
-                    self.in1[ends[3]] -= 1
-                    self.out1[ends[2]] -= 1
-            else:
-                for ci, pos, neg in self.watch[vi]:
-                    row_lo[ci] += neg
-                    row_hi[ci] += pos
-                if ends is None:
-                    self.alive |= 1 << self.pos[vi]
-                else:
-                    self.in0[ends[3]] -= 1
-                    self.out0[ends[2]] -= 1
-                    k = ends[4]
-                    if not self.pair_live[k]:
-                        self.live_out[ends[2]] |= 1 << ends[3]
-                    self.pair_live[k] += 1
-            if ends is None:
-                dirty.add(self.pos[vi])
-            else:
-                dirty.add(ends[3])
-                if self.single_sink or self.min_out[ends[2]]:
-                    dirty.add(ends[2])
         self.new_ones.clear()
+
+    def _shift(self, vi: int, value: int, d: int) -> None:
+        """Apply (d = 1) or take back (d = -1) the effect of fixing variable
+        vi to value, and mark the nodes whose bound terms it changes."""
+        row_lo, row_hi = self.row_lo, self.row_hi
+        if value:
+            for ci, pos, neg in self.watch[vi]:
+                row_lo[ci] += d * pos
+                row_hi[ci] += d * neg
+        else:
+            for ci, pos, neg in self.watch[vi]:
+                row_lo[ci] -= d * neg
+                row_hi[ci] -= d * pos
+        ends = self.ends[vi]
+        if ends is None:
+            p = self.pos[vi]
+            if value:
+                self.selected ^= 1 << p
+            else:
+                self.alive ^= 1 << p
+            self.dirty.add(p)
+            return
+        _, _, sp, tp, k = ends
+        if value:
+            self.in1[tp] += d
+            self.out1[sp] += d
+            if d > 0:
+                self.new_ones.append(vi)
+        else:
+            self.in0[tp] += d
+            self.out0[sp] += d
+            self.pair_live[k] -= d
+            if self.pair_live[k]:
+                self.live_out[sp] |= 1 << tp
+            else:
+                self.live_out[sp] &= ~(1 << tp)
+        self.dirty.add(tp)
+        if self.single_sink or self.min_out[sp]:
+            self.dirty.add(sp)
 
     def propagate(self, queue: list[int]) -> bool:
         touched = queue
@@ -338,38 +318,24 @@ class _Solver:
         return True
 
     def _propagate_linear(self, ci: int, queue: list[int]) -> bool:
-        # Forcing a term never moves the sum it was forced by, so the row
-        # sums can be read live while the terms are scanned.
         terms, relation, bound, max_c = self.rows[ci]
-        values = self.values
-        if relation != GE:
-            lo = self.row_lo[ci]
-            if lo > bound:
-                return False
-            if lo + max_c > bound:
-                for c, vi in terms:
-                    if values[vi] != -1:
-                        continue
-                    if c > 0 and lo + c > bound:
-                        if not self.assign(vi, 0, queue):
-                            return False
-                    elif c < 0 and lo - c > bound:
-                        if not self.assign(vi, 1, queue):
-                            return False
-        if relation != LE:
-            hi = self.row_hi[ci]
-            if hi < bound:
-                return False
-            if hi - max_c < bound:
-                for c, vi in terms:
-                    if values[vi] != -1:
-                        continue
-                    if c > 0 and hi - c < bound:
-                        if not self.assign(vi, 1, queue):
-                            return False
-                    elif c < 0 and hi + c < bound:
-                        if not self.assign(vi, 0, queue):
-                            return False
+        return ((relation == GE or self._tighten(terms, max_c, bound - self.row_lo[ci], 0, queue))
+                and (relation == LE or self._tighten(terms, max_c, self.row_hi[ci] - bound, 1, queue)))
+
+    def _tighten(self, terms, max_c: int, slack: int, forced: int, queue: list[int]) -> bool:
+        """One side of a row: fails when its slack is negative, else fixes
+        each free term whose coefficient exceeds the slack, a positive one
+        to forced and a negative one to 1 - forced. Forcing a term never
+        moves the sum the slack was taken from, so the slack holds while
+        the terms are scanned."""
+        if slack < 0:
+            return False
+        if max_c > slack:
+            values = self.values
+            for c, vi in terms:
+                if values[vi] == -1 and (c > slack or -c > slack):
+                    if not self.assign(vi, forced if c > 0 else 1 - forced, queue):
+                        return False
         return True
 
     # -- per-node state, recomputed for the nodes marked dirty

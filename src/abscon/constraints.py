@@ -264,7 +264,9 @@ def _flowchart_constraints(problem: ConstraintProblem) -> None:
 
 
 def _taxonomy_constraints(problem: ConstraintProblem) -> None:
-    problem.global_rules += ("acyclic",)
+    # With one parent each and a single root, a node on a cycle has its
+    # parent on the cycle, so the root cannot reach it: reachability already
+    # rules cycles out, and acyclic takes no rule.
     for nvar in problem.nodes:
         in_vars = _in_edge_vars(problem, nvar)
         if in_vars:

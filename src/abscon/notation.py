@@ -278,7 +278,6 @@ def _parse_clevr(text: str) -> ParsedCandidate:
     from . import clevr  # the op catalog; other notations never load it
 
     g = LabeledGraph()
-    warnings: list[str] = []
     defs: dict[str, tuple[NodeKind, list[str], int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -304,11 +303,8 @@ def _parse_clevr(text: str) -> ParsedCandidate:
         for pos, arg in enumerate(arg_names):
             if arg not in defs:
                 raise ModelSyntaxError(f"undefined operation reference {arg!r}", lineno)
-            if g.has_edge(arg, name, str(pos)):
-                warnings.append(f"line {lineno}: duplicate argument edge collapsed")
-            else:
-                g.add_edge(arg, name, str(pos))
-    return ParsedCandidate(g, text, warnings)
+            g.add_edge(arg, name, str(pos))
+    return ParsedCandidate(g, text)
 
 
 def _serialize_clevr(graph: LabeledGraph) -> str:

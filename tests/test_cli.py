@@ -449,6 +449,28 @@ def test_exec_scene_without_a_field_exits_1_with_one_error_line(tmp_path, capsys
     assert _error_line(capsys).startswith("scene: ")
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["check", "--domain", "taxonomy", str(DATA / "simple_reference.mmd")], ".tax"),
+    (["check", "--domain", "clevr", str(DATA / "fig2_reference.mmd")], ".clv"),
+    (["check", "--domain", "flowchart", str(DATA / "clevr" / "program_query.clv")], ".mmd"),
+    (["exec", str(DATA / "simple_reference.mmd"), str(DATA / "clevr" / "scene_basic.json")], ".clv"),
+], ids=["flowchart_as_taxonomy", "flowchart_as_clevr", "clevr_as_flowchart", "exec_flowchart"])
+def test_graph_file_in_another_notation_exits_1_with_one_error_line(capsys, argv, expected):
+    assert main(argv) == 1
+    assert _error_line(capsys).endswith(f"({expected})")
+
+
+def test_evaluate_reference_in_another_notation_exits_1_with_one_error_line(tmp_path, capsys):
+    reference = tmp_path / "reference.tax"
+    reference.write_text("ticket -> triage\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"domain": "flowchart", "samples": [
+        {"id": "tickets", "candidates": str(DATA / "simple_pool"), "reference": reference.name}]}))
+    assert main(["evaluate", str(manifest), "--out", str(tmp_path / "eval")]) == 1
+    assert _error_line(capsys) == f"{reference}: expected a mermaid file (.mmd)"
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("sampling", [
     {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "bogus": 1},
     {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "n_candidates": "3"},

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import random
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from abscon.abstraction import abstract
+from abscon.abstraction import PartialModel, abstract
 from abscon.concretize import (
     INFEASIBLE,
     OPTIMAL,
@@ -130,6 +131,32 @@ def test_clevr_without_scene_is_infeasible():
     partial = abstract([g], prof)
     with pytest.raises(InfeasibleModel):
         concretize(partial, prof)
+
+
+def test_clevr_non_operation_node_and_its_edges_are_fixed_to_0():
+    # A partial.json may hold a node of any kind; in clevr only operations
+    # take part, so a concept between scene and count is left out.
+    def node(elem_id, kind, label):
+        return {"id": elem_id, "kind": kind, "count": 3, "labels": {label: 3}}
+
+    def edge(source, target):
+        return {"source": source, "target": target, "count": 3, "labels": {"0": 3}}
+
+    partial = PartialModel.from_json(json.dumps({
+        "n_candidates": 3,
+        "nodes": [node("p0", {"kind": "clevr_op", "op": "scene"}, "scene"),
+                  node("p1", {"kind": "clevr_op", "op": "count"}, "count"),
+                  node("p2", {"kind": "concept"}, "stray")],
+        "edges": [edge("p0", "p1"), edge("p0", "p2"), edge("p2", "p1")],
+    }))
+    prof = profile("clevr")
+    stray = [node_var("p2"), edge_var(("p0", "p2", "0")), edge_var(("p2", "p1", "0"))]
+    assert {v: build_problem(partial, prof).fixed.get(v) for v in stray} == dict.fromkeys(stray, 0)
+    solution = solve_partial(partial, prof)
+    assert solution.status == OPTIMAL
+    assert check(solution.graph, prof).consistent
+    assert sorted(n.kind.op for n in solution.graph.nodes.values()) == ["count", "scene"]
+    assert len(solution.graph.edges) == 1
 
 
 # With no time to spend, the solver stops at its first deadline check, at

@@ -242,7 +242,8 @@ def test_every_problem_states_the_shared_rules(domain):
 @given(seed=st.integers(0, 2**32 - 1), domain=st.sampled_from(["taxonomy", "clevr"]))
 def test_rules_left_out_of_the_encoding_are_implied(seed, domain):
     # The encoding relies on these: an acyclic graph with one source reaches
-    # every node from it, and arity gives every op but scene a parent.
+    # every node from it, arity gives every op but scene a parent, and with
+    # one parent each and one root a taxonomy's cycles are unreachable.
     rng = random.Random(seed)
     partial = random_partial_model(rng, domain)
     g = LabeledGraph()
@@ -257,6 +258,8 @@ def test_rules_left_out_of_the_encoding_are_implied(seed, domain):
         assert names & {"acyclic", "single_root", "single_source"}, names
     if "source_is_scene" in names:
         assert "arity" in names, names
+    if domain == "taxonomy" and "acyclic" in names:
+        assert names & {"single_root", "single_parent", "reachable_from_root"}, names
 
 
 @settings(max_examples=150)

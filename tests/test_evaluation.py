@@ -201,6 +201,18 @@ def test_evaluate_dataset_flowchart_aggregates():
     assert agg["precision"] == pytest.approx(1.0)
 
 
+def test_evaluate_dataset_taxonomy_scores_by_exact_match():
+    # Output animal->dog, animal->cat, dog->puppy against reference
+    # animal->dog, animal->bird: 1 of 3 relations match exactly, so P = 1/3,
+    # R = 1/2 and F1 = 2/5. Token overlap would credit animal->cat too.
+    output = parse("animal -> dog\nanimal -> cat\ndog -> puppy\n", Notation.TAXONOMY_EDGES).graph
+    reference = parse("animal -> dog\nanimal -> bird\n", Notation.TAXONOMY_EDGES).graph
+    sample = Sample("t", [clone(output), clone(output)], reference=reference)
+    row = evaluate_dataset([sample], "abscon", profile("taxonomy")).rows[0]
+    assert (row.status, row.consistent) == ("ok", True)
+    assert (row.precision, row.recall, row.f1) == pytest.approx((1 / 3, 1 / 2, 2 / 5))
+
+
 def test_evaluate_dataset_counts_inconsistent():
     ok = build_graph([("a", "start here", ACTIVITY), ("b", "stop now", ACTIVITY)],
                      [("a", "b", "")])

@@ -13,6 +13,7 @@ solver given the same assignment anew.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -128,3 +129,35 @@ def test_incremental_state_matches_a_fresh_solver(seed, domain, n, picks):
     solver = _fixed_solver(dense_partial_model(random.Random(seed), domain, n), domain, picks)
     assume(solver is not None)
     assert _state(solver) == _state(_rebuilt(solver))
+
+
+# Everything assign() changes that undo_to() must take back exactly.
+_UNDONE = ("values", "row_lo", "row_hi", "in1", "in0", "out1", "out0", "pair_live", "live_out",
+           "alive", "selected")
+
+
+def _undone_state(solver) -> dict:
+    return {name: copy.copy(getattr(solver, name)) for name in _UNDONE}
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    domain=st.sampled_from(["flowchart", "taxonomy", "clevr"]),
+    max_vars=st.integers(3, 14),
+    steps=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 1)), min_size=1, max_size=10),
+)
+def test_undo_to_restores_the_state_at_its_mark(seed, domain, max_vars, steps):
+    problem = build_problem(random_partial_model(random.Random(seed), domain, max_vars),
+                            profile(domain))
+    solver = _Solver(problem, timeout=60.0)
+    marks = []
+    for position, value in steps:
+        marks.append((len(solver.trail), _undone_state(solver)))
+        queue: list[int] = []
+        if not (solver.assign(position % len(solver.vars), value, queue)
+                and solver.propagate(queue)):
+            break  # a failed step leaves a partial trail, which is undone too
+    for mark, state in reversed(marks):
+        solver.undo_to(mark)
+        assert _undone_state(solver) == state
