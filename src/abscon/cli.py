@@ -127,8 +127,10 @@ def _abstract_stage(graphs, profile: DomainProfile, out: Path) -> PartialModel:
     return partial
 
 
-def _concretize_stage(partial: PartialModel, profile: DomainProfile, out: Path) -> int:
-    """Solve; write report.json, and final.* when there is a checked graph."""
+def _concretize_stage(partial: PartialModel, profile: DomainProfile, out: Path,
+                      parse_warnings: list[dict] | None = None) -> int:
+    """Solve; write report.json, and final.* when there is a checked graph.
+    `pipeline` passes its candidates' parse warnings for the report."""
     solution = solve_partial(partial, profile)
     report = {
         "domain": profile.name,
@@ -138,6 +140,8 @@ def _concretize_stage(partial: PartialModel, profile: DomainProfile, out: Path) 
         "status": REPORTED[solution.status],
         "solver_nodes": solution.nodes_explored,
     }
+    if parse_warnings is not None:
+        report["parse_warnings"] = parse_warnings
     if solution.assignment is not None:
         report["consistent"] = solution.graph is not None
     if solution.graph is None:
@@ -167,7 +171,9 @@ def cmd_pipeline(args) -> int:
     else:
         candidates = _sample(args, config, profile, out)
     partial = _abstract_stage([c.graph for c in candidates], profile, out)
-    return _concretize_stage(partial, profile, out)
+    parse_warnings = [{"candidate": i, "warning": warning}
+                      for i, c in enumerate(candidates) for warning in c.warnings]
+    return _concretize_stage(partial, profile, out, parse_warnings)
 
 
 def cmd_abstract(args) -> int:
@@ -392,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
     # abscon does no threaded BLAS work (einsum with optimize=False, short
     # dot products, scipy's _lsap, which links no BLAS), so OpenBLAS's pool
     # only starts and spins, competing with the main thread on a small
-    # machine. numpy is first imported at the first alignment, after this.
+    # machine. numpy is first imported, after this, at the first alignment
+    # above matching.SMALL_LIMIT nodes; small pools never import it.
     if not any(name in os.environ for name in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     logging.basicConfig(level=logging.WARNING)

@@ -279,7 +279,7 @@ class _Solver:
         if value:
             self.in1[tp] += d
             self.out1[sp] += d
-            if d > 0:
+            if d > 0 and self.acyclic:  # only the acyclic check reads them
                 self.new_ones.append(vi)
         else:
             self.in0[tp] += d

@@ -11,6 +11,15 @@ scored from an index of the base edges, swaps by move_delta where a cheap
 lower bound leaves room for a gain. The DomainProfile is the only
 configuration: similarity mode, embedding provider, label case, tau and the
 match timeout.
+
+One size rule picks the arithmetic. An alignment of at most SMALL_LIMIT
+nodes (candidate plus base) runs on the standard library alone: its
+similarities come from similarity_rows and its warm start is solved by
+_shortest_augmenting_path, a port of scipy's linear_sum_assignment. A larger
+one builds its similarities with numpy (similarity_matrix) and solves with
+scipy's compiled routine. The assignment matrices are bit-identical on both
+sides; cosines agree to within a few ulps, so an exact cost tie may rarely
+fall the other way.
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .graph import LabeledGraph, Node, edge_key
-from .similarity import similarity_matrix
+from .similarity import similarity_matrix, similarity_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,11 +39,13 @@ if TYPE_CHECKING:
     from .domains import DomainProfile
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
+SMALL_LIMIT = 64  # alignments of at most this many nodes (n + m) load neither numpy nor scipy
 
 
 def sub_matrix(left: list[Node], right: list[Node], profile: DomainProfile) -> np.ndarray:
     """Node substitution costs 1 - similarity; inf where the similarity is
-    below the profile's tau."""
+    below the profile's tau. _Instance states the same rule on lists for
+    alignments of at most SMALL_LIMIT nodes."""
     import numpy as np
 
     sim = similarity_matrix(left, right, profile.similarity_mode, profile.provider,
@@ -53,19 +64,26 @@ class _Instance:
     """Precomputed cost data for one (candidate, base) pair."""
 
     def __init__(self, candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile):
-        import numpy as np
-
         self.cand_ids = sorted(candidate.nodes)
         self.base_ids = sorted(base.nodes)
-        self.sub = sub_matrix(
-            [candidate.nodes[c] for c in self.cand_ids], [base.nodes[b] for b in self.base_ids],
-            profile,
-        )
-        # Finite substitutions per candidate node, in base id order.
-        self.choices = {c: {} for c in self.cand_ids}
-        rows, cols = np.nonzero(np.isfinite(self.sub))
-        for i, j, value in zip(rows.tolist(), cols.tolist(), self.sub[rows, cols].tolist()):
-            self.choices[self.cand_ids[i]][self.base_ids[j]] = value
+        left = [candidate.nodes[c] for c in self.cand_ids]
+        right = [base.nodes[b] for b in self.base_ids]
+        self.small = len(left) + len(right) <= SMALL_LIMIT
+        # Finite substitutions per candidate node, in base id order; above
+        # SMALL_LIMIT also as the ndarray `sub` that the warm start reads.
+        if self.small:
+            sim = similarity_rows(left, right, profile.similarity_mode, profile.provider,
+                                  profile.case_sensitive_labels)
+            self.choices = {c: {b: 1.0 - s for b, s in zip(self.base_ids, row) if s >= profile.tau}
+                            for c, row in zip(self.cand_ids, sim)}
+        else:
+            import numpy as np
+
+            self.sub = sub_matrix(left, right, profile)
+            self.choices = {c: {} for c in self.cand_ids}
+            rows, cols = np.nonzero(np.isfinite(self.sub))
+            for i, j, value in zip(rows.tolist(), cols.tolist(), self.sub[rows, cols].tolist()):
+                self.choices[self.cand_ids[i]][self.base_ids[j]] = value
         self.cand_edges = [edge_key(e.source, e.target, e.label) for e in candidate.edges]
         self.base_edge_set = {edge_key(e.source, e.target, e.label) for e in base.edges}
         self.n_base_edges = len(base.edges)
@@ -201,10 +219,135 @@ def _exhaustive(inst: _Instance) -> tuple[dict[str, str], float]:
 
 
 def _assignment_start(inst: _Instance) -> dict[str, str]:
-    """Bipartite assignment over nodes with local edge-neighborhood terms."""
-    import numpy as np
+    """Bipartite assignment over nodes with local edge-neighborhood terms.
 
-    linear_sum_assignment = _linear_sum_assignment()
+    The (n + m)-square matrix: substitution cost plus local edge term where
+    the substitution is allowed, deletion costs on the diagonal of the top
+    right block, insertion costs on that of the bottom left block, 1e6
+    standing in for every forbidden entry and 0 in the bottom right block.
+    The local edge term of substituting c by b is half the unshared incident
+    edge labels, in and out, where sharing is multiset intersection. Every
+    entry other than a substitution cost is a small integer or a half, so
+    both builds round alike."""
+    n, m = len(inst.cand_ids), len(inst.base_ids)
+    if inst.small:
+        pairs = enumerate(_shortest_augmenting_path(_small_matrix(inst)))
+    else:
+        pairs = zip(*_linear_sum_assignment()(_numpy_matrix(inst)))
+    node_map = {}
+    for i, j in pairs:
+        if i < n and j < m and inst.base_ids[j] in inst.choices[inst.cand_ids[i]]:
+            node_map[inst.cand_ids[i]] = inst.base_ids[j]
+    return node_map
+
+
+def _small_matrix(inst: _Instance) -> list[list[float]]:
+    """_assignment_start's matrix as nested lists, from label counters."""
+    n, m = len(inst.cand_ids), len(inst.base_ids)
+    big = 1e6  # stands in for forbidden substitutions
+    cand = _label_counters(inst.cand_edges, inst.cand_ids)
+    base = _label_counters(inst.base_edge_set, inst.base_ids)
+
+    def unshared(a: dict[str, int], b: dict[str, int]) -> int:
+        return sum(a.values()) + sum(b.values()) - 2 * sum(
+            min(k, b[l]) for l, k in a.items() if l in b)
+
+    matrix = []
+    for i, c in enumerate(inst.cand_ids):
+        row = [big] * (n + m)
+        choices = inst.choices[c]
+        out, inc = cand[c]
+        for j, b in enumerate(inst.base_ids):
+            if b in choices:
+                base_out, base_in = base[b]
+                row[j] = choices[b] + (0.5 * unshared(out, base_out) + 0.5 * unshared(inc, base_in))
+        row[m + i] = 1.0 + 0.5 * (sum(out.values()) + sum(inc.values()))
+        matrix.append(row)
+    for j, b in enumerate(inst.base_ids):
+        row = [big] * m + [0.0] * n
+        out, inc = base[b]
+        row[j] = 1.0 + 0.5 * (sum(out.values()) + sum(inc.values()))
+        matrix.append(row)
+    return matrix
+
+
+def _label_counters(edges, ids: list[str]) -> dict[str, tuple[dict[str, int], dict[str, int]]]:
+    """Per-node outgoing and incoming edge counts by label."""
+    counters = {node_id: ({}, {}) for node_id in ids}
+    for s, t, l in edges:
+        out, inc = counters[s][0], counters[t][1]
+        out[l] = out.get(l, 0) + 1
+        inc[l] = inc.get(l, 0) + 1
+    return counters
+
+
+def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
+    """Minimum-cost assignment of a cost matrix with no more rows than
+    columns and no NaN or -inf entry: the column of each row.
+
+    A line-by-line port of scipy's linear_sum_assignment (Crouse 2016, "On
+    implementing 2D rectangular assignment algorithms"): the same scan
+    order, tie-breaks and floating-point expressions, so it returns scipy's
+    columns, ties included. Raises ValueError when no assignment has a
+    finite cost.
+    """
+    nr, nc = len(cost), len(cost[0]) if cost else 0
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur_row in range(nr):
+        # Dijkstra-like search for the shortest augmenting path from cur_row.
+        # Filling `remaining` in reverse makes a constant matrix's answer
+        # the identity.
+        remaining = list(range(nc - 1, -1, -1))
+        shortest = [math.inf] * nc
+        visited_rows, visited_cols = [], []
+        min_val = 0.0
+        i, sink = cur_row, -1
+        while sink == -1:
+            visited_rows.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # On a tie, prefer a column that ends the path.
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        # Update the dual variables, then augment along the path.
+        u[cur_row] += min_val
+        for i in visited_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
+def _numpy_matrix(inst: _Instance) -> np.ndarray:
+    """_assignment_start's matrix as an ndarray, from label count arrays."""
+    import numpy as np
 
     n, m = len(inst.cand_ids), len(inst.base_ids)
     big = 1e6  # stands in for forbidden substitutions
@@ -213,8 +356,6 @@ def _assignment_start(inst: _Instance) -> dict[str, str]:
     cand_out, cand_in = _label_counts(inst.cand_edges, inst.cand_ids, column)
     base_out, base_in = _label_counts(inst.base_edge_set, inst.base_ids, column)
 
-    # Local edge term of substituting c by b: half the unshared incident
-    # edge labels, in and out, where sharing is multiset intersection.
     local = np.zeros((n, m))
     for cand, base in ((cand_out, base_out), (cand_in, base_in)):
         shared = np.zeros((n, m))
@@ -230,13 +371,7 @@ def _assignment_start(inst: _Instance) -> dict[str, str]:
     matrix[np.arange(n), m + np.arange(n)] = 1.0 + 0.5 * cand_degree
     matrix[n:, :m] = big
     matrix[n + np.arange(m), np.arange(m)] = 1.0 + 0.5 * base_degree
-
-    rows, cols = linear_sum_assignment(matrix)
-    node_map = {}
-    for i, j in zip(rows, cols):
-        if i < n and j < m and np.isfinite(inst.sub[i, j]):
-            node_map[inst.cand_ids[i]] = inst.base_ids[j]
-    return node_map
+    return matrix
 
 
 def _linear_sum_assignment():

@@ -6,7 +6,9 @@ similarity of text embeddings. Edges are compared by graph.edge_key.
 from __future__ import annotations
 
 import enum
+import math
 import os
+from array import array
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .errors import ProviderFailure
@@ -17,7 +19,7 @@ try:  # hashlib's md5 maps OpenSSL's libcrypto: about 3.6 MB more resident memor
 except ImportError:  # an interpreter built without the builtin module
     from hashlib import md5
 
-if TYPE_CHECKING:  # numpy is imported where vectors are built: about 14 MB, 0.1 s
+if TYPE_CHECKING:  # numpy is imported only above matching.SMALL_LIMIT: about 14 MB, 0.1 s
     import numpy as np
 
 EMBED_DIM = 256
@@ -29,10 +31,11 @@ class SimilarityMode(enum.Enum):
 
 
 class EmbeddingProvider(Protocol):
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Return one vector per text, all of equal dimension. Any norm will
-        do: similarity_matrix divides by the norms itself, and scores a zero
-        vector 0 against everything."""
+    def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
+        """Return one vector per text, all of equal dimension. A vector is
+        any sequence of floats (a list, an array('d'), a 1-D ndarray). Any
+        norm will do: the similarities divide by the norms themselves, and
+        score a zero vector 0 against everything."""
         ...
 
 
@@ -42,32 +45,44 @@ def _bucket(feature: str) -> int:
     return int.from_bytes(digest[:4], "big") % EMBED_DIM
 
 
+def _hashed_vectors(texts: Sequence[str]) -> list[array]:
+    """Hashed character-trigram + word-unigram term-frequency vectors of
+    unit length, as array('d'); empty text maps to the zero vector. The
+    counts are small integers, so the sum of their squares is exact and the
+    length is the one any summation order gives."""
+    out = []
+    for text in texts:
+        norm = normalize_label(text)
+        features = ["w:" + word for word in norm.split()]
+        features += ["t:" + norm[i : i + 3] for i in range(len(norm) - 2)]
+        counts: dict[int, float] = {}
+        for feature in features:
+            bucket = _bucket(feature)
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        vec = array("d", bytes(8 * EMBED_DIM))
+        if counts:
+            length = math.sqrt(math.fsum(c * c for c in counts.values()))
+            for bucket, c in counts.items():
+                vec[bucket] = c / length
+        out.append(vec)
+    return out
+
+
 def builtin_embed(texts: Sequence[str]) -> list[np.ndarray]:
     """Hashed character-trigram + word-unigram term-frequency vectors.
 
     Deterministic offline substitute for a sentence-embedding service.
     Empty text maps to the zero vector (similarity 0 to everything).
+    BuiltinProvider hands out the same vectors as array('d').
     """
     import numpy as np
 
-    out = []
-    for text in texts:
-        vec = np.zeros(EMBED_DIM)
-        norm = normalize_label(text)
-        for word in norm.split():
-            vec[_bucket("w:" + word)] += 1.0
-        for i in range(len(norm) - 2):
-            vec[_bucket("t:" + norm[i : i + 3])] += 1.0
-        length = np.linalg.norm(vec)
-        if length > 0:
-            vec /= length
-        out.append(vec)
-    return out
+    return [np.array(v) for v in _hashed_vectors(texts)]
 
 
 class BuiltinProvider:
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return builtin_embed(texts)
+    def embed(self, texts: Sequence[str]) -> list[array]:
+        return _hashed_vectors(texts)
 
 
 class RemoteProvider:
@@ -112,9 +127,9 @@ class CachingProvider:
     def __init__(self, inner: EmbeddingProvider, fallback_to_builtin: bool = False):
         self.inner = inner
         self.fallback_to_builtin = fallback_to_builtin
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, Sequence[float]] = {}
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
         missing = sorted({t for t in texts if t not in self._cache})
         if missing:
             try:
@@ -122,7 +137,7 @@ class CachingProvider:
             except ProviderFailure:
                 if not self.fallback_to_builtin:
                     raise
-                vectors = builtin_embed(missing)
+                vectors = _hashed_vectors(missing)
             self._cache.update(zip(missing, vectors))
         return [self._cache[t] for t in texts]
 
@@ -140,6 +155,9 @@ def similarity_matrix(
     pairs score 0 in exact mode and the clipped cosine of their label
     embeddings otherwise (0 against a zero vector). All embeddings come from
     a single provider call over the distinct labels that need one.
+    similarity_rows gives the same entries on the standard library; its
+    cosines are exactly rounded sums (math.fsum), so the two agree to within
+    a few ulps, not bit for bit.
     """
     import numpy as np
 
@@ -182,3 +200,36 @@ def similarity_matrix(
     sim[block] = np.where(pending[block], np.clip(cos, 0.0, 1.0), sim[block])
     return sim
 
+
+def similarity_rows(
+    left: Sequence[Node],
+    right: Sequence[Node],
+    mode: SimilarityMode,
+    provider: EmbeddingProvider,
+    case_sensitive: bool,
+) -> list[list[float]]:
+    """similarity_matrix's rule and provider call, as nested lists and on
+    the standard library only. A cosine is math.fsum of the products over
+    the coordinates where both vectors are nonzero, divided by the product
+    of the two norms math.sqrt(math.fsum(x * x)); 0 against a zero vector.
+    """
+    left_keys = [(n.kind, normalize_label(n.label, case_sensitive)) for n in left]
+    right_keys = [(n.kind, normalize_label(n.label, case_sensitive)) for n in right]
+    sim = [[float(a == b) for b in right_keys] for a in left_keys]
+    pending = [(i, j) for i, (kind, label) in enumerate(left_keys)
+               for j, (other_kind, other_label) in enumerate(right_keys)
+               if kind == other_kind and label != other_label]
+    if mode == SimilarityMode.EXACT_LABEL or not pending:
+        return sim
+
+    texts = sorted({left[i].label for i, _ in pending} | {right[j].label for _, j in pending})
+    sparse = {}  # text -> (nonzero coordinates, norm)
+    for text, vector in zip(texts, provider.embed(texts)):
+        entries = {k: x for k, x in enumerate(vector) if x}
+        sparse[text] = entries, math.sqrt(math.fsum(x * x for x in entries.values()))
+    for i, j in pending:
+        (a, norm_a), (b, norm_b) = sparse[left[i].label], sparse[right[j].label]
+        if norm_a > 0 and norm_b > 0:
+            dot = math.fsum(x * b[k] for k, x in a.items() if k in b)
+            sim[i][j] = min(1.0, max(0.0, dot / (norm_a * norm_b)))
+    return sim

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import abscon
-from abscon.cli import main
+from abscon.cli import _dump_json, main
 from abscon.graph import LabeledGraph
 from abscon.notation import Notation, serialize
 from genutil import candidate_pool, dense_partial_model, random_flowchart
@@ -129,10 +129,13 @@ def test_case_sensitive_stages_write_what_pipeline_writes(tmp_path, case):
     ext = ".tax" if config.get("domain") == "taxonomy" else ".mmd"
     written = {run: {path.name: path.read_bytes() for path in (tmp_path / run).iterdir()}
                for run in ("p", "s")}
+    # Only pipeline parsed the candidates, so only its report has their
+    # parse warnings; these pools have none. Everything else is equal bytes.
+    report = json.loads(written["p"].pop("report.json"))
+    assert report.pop("parse_warnings") == []
+    assert _dump_json(report) == written["s"].pop("report.json").decode()
     assert written["p"] == written["s"]
-    assert sorted(written["p"]) == sorted(["partial.json", "report.json"]
-                                          + [f"final{ext}"] * has_final)
-    report = json.loads(written["p"]["report.json"])
+    assert sorted(written["p"]) == sorted(["partial.json"] + [f"final{ext}"] * has_final)
     assert report["status"] == status
     assert report.get("consistent") == (True if has_final else None)
     assert report["solver_nodes"] == 128 if status == "timed_out" else report["solver_nodes"] > 0
@@ -332,6 +335,39 @@ def test_cli_import_defers_scipy_and_requests(monkeypatch):
             monkeypatch.setenv(name, value)
         assert main(["check", "--domain", "flowchart", str(DATA / "fig2_reference.mmd")]) == 0
         assert {n: os.environ[n] for n in BLAS_THREAD_VARS if n in os.environ} == expected
+
+
+def test_pipeline_reports_parse_warnings_in_candidate_order(tmp_path):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    chain = "flowchart TD\nA[Receive order] --> B[Ship order]\nB --> C[Notify customer]\n"
+    (pool / "a.mmd").write_text(chain)
+    (pool / "b.mmd").write_text(chain + "A --> B\n")  # duplicate edge
+    (pool / "c.mmd").write_text(chain)
+    assert main(["pipeline", "--domain", "flowchart", "--candidates", str(pool),
+                 "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["parse_warnings"] == [
+        {"candidate": 1, "warning": "line 4: duplicate edge A->B collapsed"}]
+
+    assert main(["pipeline", "--domain", "flowchart", "--candidates", str(DATA / "fig2_pool"),
+                 "--out", str(tmp_path / "clean")]) == 0
+    report = json.loads((tmp_path / "clean" / "report.json").read_text())
+    assert report["parse_warnings"] == []
+
+
+def test_small_pool_runs_load_neither_numpy_nor_scipy(tmp_path):
+    # A fresh interpreter: every alignment of these pools is at most
+    # matching.SMALL_LIMIT nodes, so it runs on the standard library.
+    runs = [["pipeline", "--domain", "flowchart", "--candidates", str(DATA / "fig2_pool"),
+             "--out", str(tmp_path / "pipeline")],
+            ["evaluate", str(DATA / "manifest_clevr.json"), "--out", str(tmp_path / "evaluate")]]
+    for argv in runs:
+        code = ("import sys; from abscon.cli import main; code = main(sys.argv[1:]); "
+                "print(code, [m for m in ('numpy', 'scipy') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=_fresh_env(),
+                                capture_output=True, text=True, timeout=120, check=True)
+        assert result.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("pool", ["fig2_pool", "generated"])

@@ -136,22 +136,31 @@ def test_zero_match_timeout_keeps_the_warm_start(monkeypatch):
 
 
 def test_warm_start_loads_only_the_assignment_extension():
-    # A fresh interpreter: a 12-node alignment takes the assignment warm
-    # start, which needs scipy's compiled _lsap but not scipy.optimize.
+    # A fresh interpreter. A 12-node alignment is at most SMALL_LIMIT nodes,
+    # so its warm start runs on the standard library: neither numpy nor
+    # scipy loads. A 40-node one (n + m > SMALL_LIMIT) needs scipy's
+    # compiled _lsap, but never the scipy.optimize package around it.
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
                                           os.environ.get("PYTHONPATH")]))
     code = (
         "import random, sys\n"
         "from abscon.domains import profile\n"
-        "from abscon.matching import match\n"
+        "from abscon.matching import SMALL_LIMIT, match\n"
         "from genutil import noisy_candidate, random_flowchart\n"
+        "watched = ('numpy', 'scipy', 'scipy.optimize', 'scipy.optimize._lsap')\n"
         "rng = random.Random(4)\n"
-        "truth = random_flowchart(rng, 12)\n"
-        "result = match(noisy_candidate(rng, truth, 'flowchart'), truth, profile('flowchart'))\n"
-        "assert result.node_map\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.optimize._lsap') if m in sys.modules))\n"
+        "for n in (12, 40):\n"
+        "    truth = random_flowchart(rng, n)\n"
+        "    candidate = noisy_candidate(rng, truth, 'flowchart')\n"
+        "    result = match(candidate, truth, profile('flowchart'))\n"
+        "    assert result.node_map and not result.optimal\n"
+        "    size = len(candidate.nodes) + len(truth.nodes)\n"
+        "    print(size > SMALL_LIMIT, sorted(m for m in watched if m in sys.modules))\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "['scipy.optimize._lsap']"
+    assert result.stdout.splitlines() == [
+        "False []",
+        "True ['numpy', 'scipy.optimize._lsap']",
+    ]

@@ -5,6 +5,9 @@
   clipped cosine).
 - The local search's move delta equals the change in the full mapping cost.
 - One heuristic alignment makes at most one embedding request.
+- The warm start's pure-Python assignment returns scipy's rows and columns.
+- similarity_rows, the standard-library path, agrees with similarity_matrix
+  to within a few ulps.
 """
 from __future__ import annotations
 
@@ -18,13 +21,14 @@ from hypothesis import strategies as st
 from abscon.clevr import clevr_op
 from abscon.domains import profile
 from abscon.graph import ACTIVITY, CONCEPT, DECISION, Node, normalize_label
-from abscon.matching import _Instance, match, sub_matrix
+from abscon.matching import _Instance, _shortest_augmenting_path, match, sub_matrix
 from abscon.similarity import (
     BuiltinProvider,
     CachingProvider,
     SimilarityMode,
     builtin_embed,
     similarity_matrix,
+    similarity_rows,
 )
 from genutil import WORDS, cosine, noisy_candidate, random_flowchart, random_mermaid_graph
 
@@ -182,3 +186,35 @@ def test_heuristic_match_makes_at_most_one_embed_call(seed):
     result = match(candidate, truth, profile("flowchart", provider=Counting()))
     assert not result.optimal
     assert len(calls) <= 1
+
+
+# Entries like the warm start's: small integers and halves, which tie
+# often, zeros, and 1e6 for forbidden pairs; or arbitrary floats.
+PALETTES = [[0.0, 1.0, 2.0], [0.0, 0.5, 1.0, 1.5, 2.5, 1e6], [0.0, 1e6], [1.0], None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), extra_columns=st.integers(0, 3),
+       palette=st.sampled_from(PALETTES))
+def test_pure_assignment_returns_scipys_rows_and_columns(seed, n, extra_columns, palette):
+    from scipy.optimize import linear_sum_assignment
+
+    rng = random.Random(seed)
+    cost = [[(rng.choice(palette) if palette else rng.uniform(-1.0, 2.0))
+             if rng.random() < 0.9 else 1e6 for _ in range(n + extra_columns)] for _ in range(n)]
+    rows, cols = linear_sum_assignment(np.array(cost))
+    assert rows.tolist() == list(range(n))
+    assert _shortest_augmenting_path(cost) == cols.tolist()
+
+
+@settings(max_examples=150)
+@given(left=nodes("c"), right=nodes("b"), mode=st.sampled_from(list(SimilarityMode)),
+       provider=providers, case_sensitive=st.booleans())
+def test_similarity_rows_agree_with_similarity_matrix(left, right, mode, provider, case_sensitive):
+    rows = similarity_rows(left, right, mode, provider, case_sensitive)
+    sim = similarity_matrix(left, right, mode, provider, case_sensitive)
+    assert len(rows) == len(left) and all(len(row) == len(right) for row in rows)
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            # fsum against einsum's running sum: a few ulps on values in [0, 1].
+            assert value == pytest.approx(sim[i, j], rel=0, abs=1e-15)

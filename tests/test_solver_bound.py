@@ -155,8 +155,11 @@ def test_undo_to_restores_the_state_at_its_mark(seed, domain, max_vars, steps):
     for position, value in steps:
         marks.append((len(solver.trail), _undone_state(solver)))
         queue: list[int] = []
-        if not (solver.assign(position % len(solver.vars), value, queue)
-                and solver.propagate(queue)):
+        ok = solver.assign(position % len(solver.vars), value, queue) and solver.propagate(queue)
+        # Only clevr states `acyclic`, the one reader of the edges newly fixed to 1.
+        assert solver.acyclic == (domain == "clevr")
+        assert solver.acyclic or not solver.new_ones
+        if not ok:
             break  # a failed step leaves a partial trail, which is undone too
     for mark, state in reversed(marks):
         solver.undo_to(mark)
