@@ -52,7 +52,7 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
 
 # Config keys the profile checks; domain and sampling are checked where
 # they are read, the rest in _load_config.
-_PROFILE_KEYS = ("tau", "match_timeout", "solve_timeout", "case_sensitive_labels")
+_PROFILE_KEYS = ("tau", "solve_timeout", "case_sensitive_labels")
 _CONFIG_KEYS = {*_PROFILE_KEYS, "domain", "sampling", "description", "examples",
                 "embedding_endpoint", "embedding_fallback"}
 
@@ -92,8 +92,6 @@ def _profile_from(args, config: dict) -> DomainProfile:
             RemoteProvider(config["embedding_endpoint"]),
             fallback_to_builtin=config.get("embedding_fallback", False),
         )
-    if getattr(args, "timeout_match", None) is not None:
-        overrides["match_timeout"] = args.timeout_match
     if getattr(args, "timeout_solve", None) is not None:
         overrides["solve_timeout"] = args.timeout_solve
     if getattr(args, "tau", None) is not None:
@@ -341,7 +339,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--domain", choices=DOMAINS)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--timeout-solve", dest="timeout_solve", type=float)
-        p.add_argument("--timeout-match", dest="timeout_match", type=float)
         p.add_argument("--tau", type=float)
 
     p = sub.add_parser("pipeline", help="candidates -> partial model -> consistent final model")

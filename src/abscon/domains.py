@@ -22,7 +22,6 @@ class DomainProfile:
     similarity_mode: SimilarityMode
     provider: EmbeddingProvider = field(default_factory=lambda: CachingProvider(BuiltinProvider()))
     tau: float = 0.5
-    match_timeout: float = 5.0
     solve_timeout: float = 60.0
     case_sensitive_labels: bool = False
 
@@ -31,10 +30,9 @@ class DomainProfile:
         # this), is checked here, so a bad config value never reaches a stage.
         if not _is_number(self.tau) or not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be a number in [0, 1], not {self.tau!r}")
-        for name in ("match_timeout", "solve_timeout"):
-            value = getattr(self, name)
-            if not _is_number(value) or not value >= 0.0:
-                raise ValueError(f"{name} must be a non-negative number, not {value!r}")
+        if not _is_number(self.solve_timeout) or not self.solve_timeout >= 0.0:
+            raise ValueError(f"solve_timeout must be a non-negative number,"
+                             f" not {self.solve_timeout!r}")
         if not isinstance(self.case_sensitive_labels, bool):
             raise ValueError("case_sensitive_labels must be true or false,"
                              f" not {self.case_sensitive_labels!r}")

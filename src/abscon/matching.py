@@ -8,9 +8,10 @@ exactly; larger ones use a bipartite assignment warm start refined by local
 search, whose moves are remapping one node to a free image and swapping the
 images of two nodes (unmapping a node never lowers the cost). Remaps are
 scored from an index of the base edges, swaps by move_delta where a cheap
-lower bound leaves room for a gain. The DomainProfile is the only
-configuration: similarity mode, embedding provider, label case, tau and the
-match timeout.
+lower bound leaves room for a gain. The search runs until a round takes no
+move, so an alignment depends on its inputs alone, never on the clock. The
+DomainProfile is the only configuration: similarity mode, embedding
+provider, label case and tau.
 
 One size rule picks the arithmetic. An alignment of at most SMALL_LIMIT
 nodes (candidate plus base) runs on the standard library alone: its
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -133,14 +133,14 @@ class _Instance:
 
 
 def match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile) -> MatchResult:
-    """Lowest-cost alignment found within profile.match_timeout; deterministic."""
+    """Lowest-cost alignment found: exact up to EXHAUSTIVE_LIMIT nodes a
+    side, otherwise the warm start refined to a local minimum. A function of
+    the two graphs and the profile alone."""
     inst = _Instance(candidate, base, profile)
     if len(inst.cand_ids) <= EXHAUSTIVE_LIMIT and len(inst.base_ids) <= EXHAUSTIVE_LIMIT:
         node_map, total = _exhaustive(inst)
         return MatchResult(node_map, total, optimal=True)
-    deadline = time.monotonic() + profile.match_timeout
-    node_map = _assignment_start(inst)
-    node_map, total = _refine(inst, node_map, deadline)
+    node_map, total = _refine(inst, _assignment_start(inst))
     return MatchResult(node_map, total, optimal=False)
 
 
@@ -418,12 +418,13 @@ def _label_counts(edges, ids: list[str], column: dict[str, int]) -> tuple[np.nda
     return out, inc
 
 
-def _refine(inst: _Instance, node_map: dict[str, str], deadline: float) -> tuple[dict[str, str], float]:
+def _refine(inst: _Instance, node_map: dict[str, str]) -> tuple[dict[str, str], float]:
     """Greedy local search from the warm start, in rounds, until a round
-    takes no move or the deadline passes. A round first remaps each
-    candidate node, in id order, to each image it may take (free or its
-    own, in base id order), then swaps the images of each pair of mapped
-    nodes. A move is taken when it lowers the cost by more than 1e-12.
+    takes no move. A round first remaps each candidate node, in id order,
+    to each image it may take (free or its own, in base id order), then
+    swaps the images of each pair of mapped nodes. A move is taken when it
+    lowers the cost by more than 1e-12, so the search is strict descent over
+    finitely many node maps and ends.
 
     Unmapping a node is never a move: it raises the cost by sim(c, old) + 1,
     plus 2 for every matched edge it loses, so by at least 1. All of a
@@ -450,11 +451,9 @@ def _refine(inst: _Instance, node_map: dict[str, str], deadline: float) -> tuple
         return sum((best.get(s), best.get(t), l) not in base_edges for s, t, l in inst.incident[c])
 
     improved = True
-    while improved and time.monotonic() < deadline:
+    while improved:
         improved = False
         for c in inst.cand_ids:
-            if time.monotonic() >= deadline:
-                break
             choices = inst.choices[c]
             # Incident edges of c matched when c maps to each image.
             matched: dict[str, int] = {}
@@ -486,8 +485,6 @@ def _refine(inst: _Instance, node_map: dict[str, str], deadline: float) -> tuple
         rank = {c: i for i, c in enumerate(mapped)}
         open_edges: dict[str, int] = {}  # unmatched incident edges, filled on demand
         for i, a in enumerate(mapped):
-            if time.monotonic() >= deadline:
-                break
             # Partners whose image a may take, in id order; a swap changes
             # no later partner's image.
             choices_a = inst.choices[a]

@@ -68,19 +68,9 @@ def _hashed_vectors(texts: Sequence[str]) -> list[array]:
     return out
 
 
-def builtin_embed(texts: Sequence[str]) -> list[np.ndarray]:
-    """Hashed character-trigram + word-unigram term-frequency vectors.
-
-    Deterministic offline substitute for a sentence-embedding service.
-    Empty text maps to the zero vector (similarity 0 to everything).
-    BuiltinProvider hands out the same vectors as array('d').
-    """
-    import numpy as np
-
-    return [np.array(v) for v in _hashed_vectors(texts)]
-
-
 class BuiltinProvider:
+    """Deterministic offline substitute for a sentence-embedding service."""
+
     def embed(self, texts: Sequence[str]) -> list[array]:
         return _hashed_vectors(texts)
 
@@ -95,7 +85,7 @@ class RemoteProvider:
         self.endpoint = endpoint
         self.timeout = timeout
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         import requests
 
         headers = {}
@@ -110,15 +100,24 @@ class RemoteProvider:
             vectors = resp.json()["vectors"]
         except Exception as exc:
             raise ProviderFailure(str(exc)) from exc
-        if len(vectors) != len(texts):
+        if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProviderFailure("provider returned wrong number of vectors")
-        import numpy as np
-
-        out = [np.asarray(v, dtype=float) for v in vectors]
-        dims = {v.shape for v in out}
-        if len(dims) > 1:
+        out = [_floats(v) for v in vectors]
+        if len({len(v) for v in out}) > 1:
             raise ProviderFailure("provider returned vectors of mixed dimension")
         return out
+
+
+def _floats(vector) -> list[float]:
+    """A provider's vector as a list of floats; ProviderFailure unless it is
+    a list of finite JSON numbers."""
+    try:
+        if isinstance(vector, list) and all(
+                type(x) in (int, float) and math.isfinite(x) for x in vector):
+            return [float(x) for x in vector]
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ProviderFailure("provider returned a vector that is not a list of finite numbers")
 
 
 class CachingProvider:

@@ -418,18 +418,19 @@ def _error_line(capsys) -> str:
     (["flowchart"], ()),
     ({"domain": "flowchart", "tau": "abc"}, ()),
     ({"domain": "flowchart", "tau": 1.5}, ()),
-    ({"domain": "flowchart", "match_timeout": -1}, ()),
+    ({"domain": "flowchart", "solve_timeout": -1}, ()),
     ({"domain": "flowchart", "case_sensitive_labels": "yes"}, ()),
     ({"domain": "flowchart", "solve_timout": 0.01}, ("'solve_timout'",)),
     ({"domain": "taxonomy", "taxonomy_require_connected": True}, ("'taxonomy_require_connected'",)),
+    ({"domain": "flowchart", "match_timeout": 5.0}, ("'match_timeout'",)),
     ({"domain": "flowchart", "embedding_fallback": "false"}, ("'embedding_fallback'",)),
     ({"domain": "flowchart", "description": 5}, ("'description'",)),
     ({"domain": "flowchart", "examples": "EX"}, ("'examples'",)),
     ({"domain": "flowchart", "examples": ["EX", 5]}, ("'examples'",)),
     ({"domain": "flowchart", "embedding_endpoint": 5}, ("'embedding_endpoint'",)),
 ], ids=["list", "tau_text", "tau_above_1", "negative_timeout", "toggle_text", "unknown_key",
-        "removed_key", "fallback_text", "description_not_text", "examples_text",
-        "examples_not_all_text", "endpoint_not_text"])
+        "removed_key", "removed_match_timeout", "fallback_text", "description_not_text",
+        "examples_text", "examples_not_all_text", "endpoint_not_text"])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -437,6 +438,17 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config, named)
                  "--out", str(tmp_path / "run")]) == 1
     error = _error_line(capsys)
     assert all(word in error for word in named), error
+    assert not (tmp_path / "run").exists()
+
+
+def test_removed_timeout_match_flag_is_a_usage_error(tmp_path, capsys):
+    assert main(["pipeline", "--domain", "flowchart", "--candidates", str(DATA / "fig2_pool"),
+                 "--timeout-match", "1", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # argparse's usage text, then one JSON error line.
+    (error,) = [json.loads(line)["error"] for line in err.splitlines() if line.startswith("{")]
+    assert "--timeout-match" in error
     assert not (tmp_path / "run").exists()
 
 

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from abscon.abstraction import abstract
 from abscon.domains import profile
 from abscon.errors import TooLarge
 from abscon.graph import ACTIVITY, DECISION, LabeledGraph
@@ -118,21 +121,24 @@ def test_larger_graphs_use_approximate_path():
     assert result.node_map == {i: i for i in g.nodes}
 
 
-def test_zero_match_timeout_keeps_the_warm_start(monkeypatch):
-    # On this pair the local search improves on the assignment warm start.
+def test_alignment_does_not_read_the_clock(monkeypatch):
+    # On this pair, and when b is matched against the partial model of a
+    # pool [b, a], the local search improves on the assignment warm start.
+    # A clock that runs 10 s per read changes neither result.
     rng = random.Random(27)
     a = random_mermaid_graph(rng, max_nodes=10)
     b = random_mermaid_graph(rng, max_nodes=10)
     assert max(len(a.nodes), len(b.nodes)) > EXHAUSTIVE_LIMIT
-    rushed = profile("flowchart", match_timeout=0.0)
-    start = _assignment_start(_Instance(a, b, rushed))
+    for base in (b, abstract([b], FLOWCHART).view()):
+        inst = _Instance(a, base, FLOWCHART)
+        assert match(a, base, FLOWCHART).total_cost < inst.mapping_cost(_assignment_start(inst))
+    result, partial = match(a, b, FLOWCHART), abstract([b, a], FLOWCHART).to_json()
     with monkeypatch.context() as patch:
-        moves = []
-        patch.setattr(_Instance, "move_delta", lambda self, *args: moves.append(args) or 0.0)
-        result = match(a, b, rushed)
-    assert result.node_map == start
-    assert moves == []  # _refine ran no round
-    assert match(a, b, FLOWCHART).total_cost < result.total_cost
+        clock = itertools.count(time.monotonic(), 10.0)
+        patch.setattr(time, "monotonic", lambda: next(clock))
+        raced, raced_partial = match(a, b, FLOWCHART), abstract([b, a], FLOWCHART).to_json()
+    assert (raced.node_map, raced.total_cost) == (result.node_map, result.total_cost)
+    assert raced_partial == partial
 
 
 def test_warm_start_loads_only_the_assignment_extension():

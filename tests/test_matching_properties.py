@@ -26,7 +26,6 @@ from abscon.similarity import (
     BuiltinProvider,
     CachingProvider,
     SimilarityMode,
-    builtin_embed,
     similarity_matrix,
     similarity_rows,
 )
@@ -181,7 +180,7 @@ def test_heuristic_match_makes_at_most_one_embed_call(seed):
     class Counting:
         def embed(self, texts):
             calls.append(list(texts))
-            return builtin_embed(texts)
+            return BuiltinProvider().embed(texts)
 
     result = match(candidate, truth, profile("flowchart", provider=Counting()))
     assert not result.optimal

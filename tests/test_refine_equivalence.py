@@ -4,12 +4,11 @@
 from indexes: every remap, every unmap and every swap is scored by
 `_Instance.move_delta`, in the same order. `match()` must return the same
 node map and cost on seeded pools, in both similarity modes, for several
-thresholds, with and without a deadline that stops the search at once.
+thresholds.
 """
 from __future__ import annotations
 
 import random
-import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,18 +23,16 @@ from genutil import (build_graph, candidate_pool, random_flowchart, random_merma
                      random_taxonomy_tree)
 
 
-def _reference_refine(inst: _Instance, node_map: dict[str, str], deadline: float):
+def _reference_refine(inst: _Instance, node_map: dict[str, str]):
     """Greedy local moves: remap / unmap single nodes, swap image pairs. Each
     move is scored by its cost delta; a move is taken when it lowers the
     cost by more than 1e-12."""
     best = dict(node_map)
     improved = True
-    while improved and time.monotonic() < deadline:
+    while improved:
         improved = False
         used = set(best.values())
         for c in inst.cand_ids:
-            if time.monotonic() >= deadline:
-                break
             options: list[str | None] = [
                 b for b in inst.choices[c] if b not in used or best.get(c) == b
             ]
@@ -54,8 +51,6 @@ def _reference_refine(inst: _Instance, node_map: dict[str, str], deadline: float
                     improved = True
         mapped = sorted(best)
         for i in range(len(mapped)):
-            if time.monotonic() >= deadline:
-                break
             for j in range(i + 1, len(mapped)):
                 a, b = mapped[i], mapped[j]
                 if best[b] not in inst.choices[a] or best[a] not in inst.choices[b]:
@@ -70,8 +65,7 @@ def _reference_match(candidate, base, prof):
     inst = _Instance(candidate, base, prof)
     if len(inst.cand_ids) <= EXHAUSTIVE_LIMIT and len(inst.base_ids) <= EXHAUSTIVE_LIMIT:
         return _exhaustive(inst)
-    deadline = time.monotonic() + prof.match_timeout
-    return _reference_refine(inst, _assignment_start(inst), deadline)
+    return _reference_refine(inst, _assignment_start(inst))
 
 
 def _pairs(seed: int, shape: str, n: int):
@@ -103,14 +97,10 @@ SHAPES = ["flowchart", "taxonomy", "unrelated", "loops"]
     n=st.integers(7, 40),
     mode=st.sampled_from(list(SimilarityMode)),
     tau=st.sampled_from([0.2, 0.5, 1.0]),
-    timeout=st.sampled_from([None, 0.0]),
 )
-def test_match_equals_move_by_move_reference(seed, shape, n, mode, tau, timeout):
+def test_match_equals_move_by_move_reference(seed, shape, n, mode, tau):
     domain, pairs = _pairs(seed, shape, n)
-    overrides = {"similarity_mode": mode, "tau": tau}
-    if timeout is not None:
-        overrides["match_timeout"] = timeout
-    prof = profile(domain, **overrides)
+    prof = profile(domain, similarity_mode=mode, tau=tau)
     for candidate, base in pairs:
         result = match(candidate, base, prof)
         node_map, cost = _reference_match(candidate, base, prof)
@@ -140,8 +130,7 @@ def test_refine_equals_reference_from_random_starts(seed, shape, n, mode, tau, s
             free = [b for b in inst.choices[c] if b not in start.values()]
             if free and rng.random() < share:
                 start[c] = rng.choice(free)
-        deadline = time.monotonic() + 60.0
-        assert _refine(inst, start, deadline) == _reference_refine(inst, start, deadline)
+        assert _refine(inst, start) == _reference_refine(inst, start)
 
 
 def test_refine_counts_a_self_loop_matched_by_a_remap():
@@ -151,9 +140,8 @@ def test_refine_counts_a_self_loop_matched_by_a_remap():
     base = build_graph([("p", "check stock", ACTIVITY), ("q", "check stock", ACTIVITY)],
                        [("q", "q", "Retry")])
     inst = _Instance(candidate, base, profile("flowchart"))
-    deadline = time.monotonic() + 60.0
-    assert _refine(inst, {"a": "p"}, deadline) == _reference_refine(inst, {"a": "p"}, deadline)
-    assert _refine(inst, {"a": "p"}, deadline) == ({"a": "q"}, 1.0)
+    assert _refine(inst, {"a": "p"}) == _reference_refine(inst, {"a": "p"})
+    assert _refine(inst, {"a": "p"}) == ({"a": "q"}, 1.0)
 
 
 @settings(max_examples=40, deadline=None)

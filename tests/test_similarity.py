@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from array import array
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +21,12 @@ from abscon.similarity import (
     RemoteProvider,
     BuiltinProvider,
     SimilarityMode,
-    builtin_embed,
     similarity_matrix,
 )
 from genutil import cosine
 
 BUILTIN = BuiltinProvider()
+DATA = Path(__file__).parent / "data"
 
 
 def _oracle_embed(text: str) -> np.ndarray:
@@ -38,18 +42,22 @@ def _oracle_embed(text: str) -> np.ndarray:
     return vec / n if n else vec
 
 
+def _builtin_arrays(texts) -> list[np.ndarray]:
+    return [np.array(v) for v in BUILTIN.embed(texts)]
+
+
 def test_builtin_embed_deterministic():
-    a1, = builtin_embed(["abc"])
-    a2, = builtin_embed(["abc"])
+    a1, = _builtin_arrays(["abc"])
+    a2, = _builtin_arrays(["abc"])
     assert np.array_equal(a1, a2)
     assert a1.shape == (EMBED_DIM,)
     assert abs(np.linalg.norm(a1) - 1.0) < 1e-9
 
 
 def test_builtin_embed_empty_is_zero_vector():
-    z, = builtin_embed([""])
+    z, = _builtin_arrays([""])
     assert np.linalg.norm(z) == 0
-    other, = builtin_embed(["anything"])
+    other, = _builtin_arrays(["anything"])
     assert cosine(z, other) == 0.0
 
 
@@ -58,17 +66,16 @@ def test_builtin_embed_matches_oracle():
     # see the vectors the numpy implementation gave.
     for text in ["check stock", "stock check", "paint wall", "Verify  Inventory",
                  "aaaa aaaa aaaa", "", "x"]:
-        mine, = builtin_embed([text])
         provided, = BUILTIN.embed([text])
-        assert np.array_equal(mine, _oracle_embed(text))
-        assert isinstance(provided, array) and np.array_equal(np.array(provided), mine)
+        assert isinstance(provided, array)
+        assert np.array_equal(np.array(provided), _oracle_embed(text))
 
 
 def test_word_order_similarity_ranking():
     e = {t: _oracle_embed(t) for t in ["check stock", "stock check", "paint wall"]}
     close = cosine(e["check stock"], e["stock check"])
     far = cosine(e["check stock"], e["paint wall"])
-    v1, v2, v3 = builtin_embed(["check stock", "stock check", "paint wall"])
+    v1, v2, v3 = _builtin_arrays(["check stock", "stock check", "paint wall"])
     assert cosine(v1, v2) == pytest.approx(close)
     assert cosine(v1, v3) == pytest.approx(far)
     assert close > far
@@ -101,6 +108,7 @@ def test_node_similarity_embedding_symmetric_in_range():
 
 class _StubEmbedHandler(BaseHTTPRequestHandler):
     fail = False
+    vectors = None  # the reply's vectors when set; else the oracle's
 
     def do_POST(self):
         if self.fail:
@@ -109,7 +117,7 @@ class _StubEmbedHandler(BaseHTTPRequestHandler):
             return
         length = int(self.headers["Content-Length"])
         texts = json.loads(self.rfile.read(length))["texts"]
-        vectors = [_oracle_embed(t).tolist() for t in texts]
+        vectors = self.vectors or [_oracle_embed(t).tolist() for t in texts]
         body = json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -135,7 +143,51 @@ def test_remote_provider_round_trip(stub_server):
     _StubEmbedHandler.fail = False
     vecs = provider.embed(["check stock", "paint wall"])
     assert len(vecs) == 2
-    assert np.allclose(vecs[0], _oracle_embed("check stock"))
+    assert all(type(v) is list and all(type(x) is float for x in v) for v in vecs)
+    assert vecs[0] == _oracle_embed("check stock").tolist()
+
+
+@pytest.mark.parametrize("vectors", [
+    [["0.5", 1.0], [1.0, 0.0]],
+    [[True, 1.0], [1.0, 0.0]],
+    [[None, 1.0], [1.0, 0.0]],
+    [[float("inf"), 1.0], [1.0, 0.0]],
+    [[10**400, 1.0], [1.0, 0.0]],
+    [5, [1.0, 0.0]],
+    [{"x": 1.0}, [1.0, 0.0]],
+    [[1.0, 0.0], [1.0]],
+    {"a": [1.0], "b": [1.0]},
+    [[1.0]],
+], ids=["text_entry", "bool_entry", "null_entry", "infinite_entry", "huge_integer_entry",
+        "number_vector", "object_vector", "mixed_lengths", "object_of_vectors", "too_few"])
+def test_remote_provider_rejects_a_malformed_reply(stub_server, vectors):
+    provider = RemoteProvider(stub_server, timeout=5)
+    _StubEmbedHandler.vectors = vectors
+    try:
+        with pytest.raises(ProviderFailure):
+            provider.embed(["a", "b"])
+        caching = CachingProvider(provider, fallback_to_builtin=True)
+        assert caching.embed(["a", "b"]) == BUILTIN.embed(["a", "b"])
+    finally:
+        _StubEmbedHandler.vectors = None
+
+
+def test_remote_provider_pipeline_loads_no_numpy(stub_server, tmp_path):
+    # A fresh interpreter: every alignment of fig2_pool is at most
+    # matching.SMALL_LIMIT nodes, and the remote vectors stay lists.
+    _StubEmbedHandler.fail = False
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"domain": "flowchart", "embedding_endpoint": stub_server}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from abscon.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'requests' in sys.modules, 'numpy' in sys.modules)")
+    argv = ["pipeline", "--config", str(config), "--candidates", str(DATA / "fig2_pool"),
+            "--out", str(tmp_path / "run")]
+    result = subprocess.run([sys.executable, "-c", code, *argv],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.splitlines()[-1] == "0 True False"
 
 
 def test_remote_provider_failure_and_fallback(stub_server):
@@ -146,7 +198,7 @@ def test_remote_provider_failure_and_fallback(stub_server):
             provider.embed(["x"])
         caching = CachingProvider(provider, fallback_to_builtin=True)
         vecs = caching.embed(["check stock"])
-        assert np.allclose(vecs[0], builtin_embed(["check stock"])[0])
+        assert vecs == BUILTIN.embed(["check stock"])
     finally:
         _StubEmbedHandler.fail = False
 
@@ -157,7 +209,7 @@ def test_caching_provider_calls_inner_once():
     class Counting:
         def embed(self, texts):
             calls.append(list(texts))
-            return builtin_embed(texts)
+            return BUILTIN.embed(texts)
 
     provider = CachingProvider(Counting())
     provider.embed(["a", "b", "a"])
