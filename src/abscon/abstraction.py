@@ -145,16 +145,3 @@ def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialM
             else:
                 model.edges[key] = PartialElement(1, Counter({edge.label: 1}))
     return model
-
-
-def mlc(partial: PartialModel) -> LabeledGraph:
-    """Maximum likelihood concretization: strict-majority elements only,
-    ignoring all constraints; dangling edges are dropped."""
-    g = LabeledGraph()
-    for elem_id, elem in partial.nodes.items():
-        if elem.count * 2 > partial.n_candidates:
-            g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
-    for (src, tgt, _), elem in partial.edges.items():
-        if elem.count * 2 > partial.n_candidates and src in g.nodes and tgt in g.nodes:
-            g.add_edge(src, tgt, elem.representative_label)
-    return g

@@ -39,9 +39,10 @@ logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors by default; 2 means infeasible here.
+    # A usage error is one JSON line on stderr and exit 1, like every other
+    # exit-1 error. argparse would print its usage text first and exit 2,
+    # which means infeasible here.
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise SystemExit(_fail(f"usage: {message}"))
 
 
@@ -335,14 +336,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="abscon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # Each command takes only the flags it reads: --tau acts on alignment,
+    # --timeout-solve on the solve.
+    def common(p, tau: bool = False, timeout_solve: bool = False):
         p.add_argument("--domain", choices=DOMAINS)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--timeout-solve", dest="timeout_solve", type=float)
-        p.add_argument("--tau", type=float)
+        if timeout_solve:
+            p.add_argument("--timeout-solve", dest="timeout_solve", type=float,
+                           help="solver time limit in seconds")
+        if tau:
+            p.add_argument("--tau", type=float, help="alignment's label similarity threshold")
 
     p = sub.add_parser("pipeline", help="candidates -> partial model -> consistent final model")
-    common(p)
+    common(p, tau=True, timeout_solve=True)
     p.add_argument("--candidates", help="directory of candidate files (offline mode)")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int)
@@ -350,13 +356,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("abstract", help="merge candidates into a partial model")
-    common(p)
+    common(p, tau=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_abstract)
 
     p = sub.add_parser("concretize", help="solve a stored partial model")
-    common(p)
+    common(p, timeout_solve=True)
     p.add_argument("--partial", required=True, help="partial.json produced by abstract")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_concretize)
@@ -372,7 +378,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_exec)
 
     p = sub.add_parser("evaluate", help="compare methods over a dataset manifest")
-    common(p)
+    common(p, tau=True, timeout_solve=True)
     p.add_argument("manifest")
     p.add_argument("--method", action="append",
                    help="repeatable; defaults to the manifest's methods, else abscon")

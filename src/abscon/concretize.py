@@ -128,8 +128,13 @@ class _Solver:
     def __init__(self, problem: ConstraintProblem, timeout: float):
         self.problem = problem
         self.deadline = time.monotonic() + timeout
-        self.vars = sorted(problem.variables)
+        # Node variables first, in problem.nodes order, so that a node's
+        # variable index is also its bit in the node bitmasks.
+        self.vars = list(problem.nodes) + sorted(problem.edges)
         self.index = {v: i for i, v in enumerate(self.vars)}
+        # A leaf's assignment and objective go by variable name, so that the
+        # float sum does not depend on the index order.
+        self.by_name = sorted(range(len(self.vars)), key=self.vars.__getitem__)
         n_vars = len(self.vars)
         self.weights = [float(problem.weights.get(v, 0.0)) for v in self.vars]
         self.order = sorted(
@@ -142,27 +147,21 @@ class _Solver:
         self.acyclic = "acyclic" in problem.global_rules
         self.single_sink = "single_sink" in problem.global_rules
 
-        # Nodes get positions 0..n-1; edges carry their endpoints' positions.
-        self.node_vi = [self.index[v] for v in problem.nodes]
-        n = len(self.node_vi)
-        self.pos = [-1] * n_vars
-        for p, vi in enumerate(self.node_vi):
-            self.pos[vi] = p
-        # An edge's ends are (source, target, their positions, its node pair).
-        self.ends: list[tuple[int, int, int, int, int] | None] = [None] * n_vars
-        self.incident: list[list[int]] = [[] for _ in range(n_vars)]
+        n = len(problem.nodes)
+        # An edge's ends are (source, target, its node pair).
+        self.ends: list[tuple[int, int, int] | None] = [None] * n_vars
+        self.incident: list[list[int]] = [[] for _ in range(n)]
         self.in_edges: list[list[int]] = [[] for _ in range(n)]
         self.out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         pairs: dict[tuple[int, int], int] = {}
         for var, edge in problem.edges.items():
             e = self.index[var]
             s, t = self.index[edge.source], self.index[edge.target]
-            sp, tp = self.pos[s], self.pos[t]
-            self.ends[e] = (s, t, sp, tp, pairs.setdefault((sp, tp), len(pairs)))
+            self.ends[e] = (s, t, pairs.setdefault((s, t), len(pairs)))
             self.incident[s].append(e)
             self.incident[t].append(e)
-            self.in_edges[tp].append(e)
-            self.out_adj[sp].append((e, tp))
+            self.in_edges[t].append(e)
+            self.out_adj[s].append((e, t))
         self.n_in = [len(es) for es in self.in_edges]
         self.n_out = [len(es) for es in self.out_adj]
 
@@ -192,23 +191,23 @@ class _Solver:
         def by_weight(es):
             return [(e, self.weights[e]) for e in sorted(es, key=lambda e: (-self.weights[e], e))]
 
-        self.in_sorted = [by_weight([e for e in es if not self.min_out[self.ends[e][2]]])
+        self.in_sorted = [by_weight([e for e in es if not self.min_out[self.ends[e][0]]])
                           for es in self.in_edges]
-        self.in_foreign = [[e for e in es if self.min_out[self.ends[e][2]]] for es in self.in_edges]
+        self.in_foreign = [[e for e in es if self.min_out[self.ends[e][0]]] for es in self.in_edges]
         self.out_sorted = [by_weight([e for e, _ in adj]) if self.min_out[p] else []
                            for p, adj in enumerate(self.out_adj)]
         self.lo_in = [max(m, 1) for m in min_in]
 
-        # Incremental state. Node sets are bitmasks over positions: alive
+        # Incremental state. Node sets are bitmasks over nodes: alive
         # (not fixed to 0), selected, potential sources, and per node the
         # targets it still has an edge to that is not fixed to 0.
         self.pair_live = [0] * len(pairs)
         self.live_out = [0] * n
-        for sp, tp in pairs:
-            self.live_out[sp] |= 1 << tp
+        for s, t in pairs:
+            self.live_out[s] |= 1 << t
         for ends in self.ends:
             if ends is not None:
-                self.pair_live[ends[4]] += 1
+                self.pair_live[ends[2]] += 1
         self.alive = (1 << n) - 1
         self.selected = 0
         self.potential = 0
@@ -268,30 +267,29 @@ class _Solver:
                 row_hi[ci] -= d * pos
         ends = self.ends[vi]
         if ends is None:
-            p = self.pos[vi]
             if value:
-                self.selected ^= 1 << p
+                self.selected ^= 1 << vi
             else:
-                self.alive ^= 1 << p
-            self.dirty.add(p)
+                self.alive ^= 1 << vi
+            self.dirty.add(vi)
             return
-        _, _, sp, tp, k = ends
+        s, t, k = ends
         if value:
-            self.in1[tp] += d
-            self.out1[sp] += d
+            self.in1[t] += d
+            self.out1[s] += d
             if d > 0 and self.acyclic:  # only the acyclic check reads them
                 self.new_ones.append(vi)
         else:
-            self.in0[tp] += d
-            self.out0[sp] += d
+            self.in0[t] += d
+            self.out0[s] += d
             self.pair_live[k] -= d
             if self.pair_live[k]:
-                self.live_out[sp] |= 1 << tp
+                self.live_out[s] |= 1 << t
             else:
-                self.live_out[sp] &= ~(1 << tp)
-        self.dirty.add(tp)
-        if self.single_sink or self.min_out[sp]:
-            self.dirty.add(sp)
+                self.live_out[s] &= ~(1 << t)
+        self.dirty.add(t)
+        if self.single_sink or self.min_out[s]:
+            self.dirty.add(s)
 
     def propagate(self, queue: list[int]) -> bool:
         touched = queue
@@ -334,8 +332,7 @@ class _Solver:
             values = self.values
             for c, vi in terms:
                 if values[vi] == -1 and (c > slack or -c > slack):
-                    if not self.assign(vi, forced if c > 0 else 1 - forced, queue):
-                        return False
+                    self.assign(vi, forced if c > 0 else 1 - forced, queue)
         return True
 
     # -- per-node state, recomputed for the nodes marked dirty
@@ -347,8 +344,7 @@ class _Solver:
 
     def _refresh(self, p: int) -> None:
         values = self.values
-        vi = self.node_vi[p]
-        val = values[vi]
+        val = values[p]
         in1 = self.in1[p]
         sel = val == 1
         dsrc = sel and self.in0[p] == self.n_in[p]
@@ -375,7 +371,7 @@ class _Solver:
         # The out-edges this node is charged for, then its in-edges as a
         # non-root node; a free in-edge charged to its source meets the need
         # for one at no cost here.
-        w = self.weights[vi]
+        w = self.weights[p]
         total, count, dead = w, 1, False
         if self.out_sorted[p]:
             gain, n_out, unmet, _ = _best_choice(
@@ -445,7 +441,7 @@ class _Solver:
             self._flush()
         if self.acyclic and self.new_ones:
             for e in self.new_ones:
-                if self._reaches(self.ends[e][3], self.ends[e][2]):
+                if self._reaches(self.ends[e][1], self.ends[e][0]):
                     return True
             self.new_ones.clear()
         # Two selected nodes without any possible in-edge, or selected nodes
@@ -525,10 +521,10 @@ class _Solver:
         while start < len(order) and values[order[start]] != -1:
             start += 1
         if start == len(order):
-            assignment = {self.vars[i]: v for i, v in enumerate(values)}
+            assignment = {self.vars[i]: values[i] for i in self.by_name}
             if not self.problem.satisfied(assignment):
                 return
-            obj = float(sum(w for w, v in zip(self.weights, values) if v == 1))
+            obj = float(sum(self.weights[i] for i in self.by_name if values[i] == 1))
             selected = values.count(1)
             if (
                 obj > self.best_obj + _TOL

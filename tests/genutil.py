@@ -324,37 +324,69 @@ def random_partial_model(rng: random.Random, domain: str, max_vars: int = 14):
     return model
 
 
+# The operations of a dense clevr model besides its scene: set operations
+# that can feed each other in cycles, and two sinks that nothing consumes.
+DENSE_CLEVR_OPS = [("filter_color", "red"), ("unique",), ("relate", "left"), ("intersect",),
+                   ("union",), ("count",), ("same_color",), ("exist",)]
+
+
 def dense_partial_model(rng: random.Random, domain: str, n: int):
-    """A flowchart or taxonomy partial model with about three edges per node
-    around a planted consistent model, every count uniform in 1..5 of 5
-    candidates. Many selections score alike, which is where the solver's
-    bound is weakest. Needs n >= 5, so that 3n distinct edges exist."""
+    """A partial model of n nodes with about three edges per node, every
+    count uniform in 1..5 of 5 candidates. Many selections score alike,
+    which is where the solver's bound is weakest. A flowchart or taxonomy
+    model is built around a planted consistent model. A clevr model is a
+    scene and n - 1 operations drawn from DENSE_CLEVR_OPS, wired by up to 3n
+    type-compatible argument edges, so many selections hold a cycle. Needs
+    n >= 5, so that 3n distinct edges exist for a flowchart or taxonomy."""
     if n < 5:
         raise ValueError(f"dense_partial_model needs n >= 5, got {n}")
     from collections import Counter
 
     from abscon.abstraction import PartialElement, PartialModel
 
-    truth = random_flowchart(rng, n) if domain == "flowchart" else random_taxonomy_tree(rng, n)
     model = PartialModel(n_candidates=5)
-    elem_of = {node.id: model.new_node(node.label, node.kind) for node in truth.nodes.values()}
-    edges = {(e.source, e.target, normalize_label(e.label)): e.label for e in truth.edges}
-    node_ids = sorted(truth.nodes)
-    while len(edges) < 3 * n:
-        src, tgt = rng.sample(node_ids, 2)
-        label = rng.choice(["", "yes", "no"]) if domain == "flowchart" else ""
-        edges.setdefault((src, tgt, label), label)
+    if domain == "clevr":
+        kinds = [clevr_op("scene")] + [clevr_op(*rng.choice(DENSE_CLEVR_OPS)) for _ in range(n - 1)]
+        entry = {model.new_node(render_clevr_op(kind), kind): _CATALOG[kind.op] for kind in kinds}
+        compatible = [(src, tgt, str(pos)) for tgt in entry for src in entry if src != tgt
+                      for pos, wanted in enumerate(entry[tgt].input_types)
+                      if entry[src].output_type == wanted]
+        edges = {key: key[2] for key in rng.sample(compatible, min(3 * n, len(compatible)))}
+    else:
+        truth = random_flowchart(rng, n) if domain == "flowchart" else random_taxonomy_tree(rng, n)
+        elem_of = {node.id: model.new_node(node.label, node.kind) for node in truth.nodes.values()}
+        edges = {(e.source, e.target, normalize_label(e.label)): e.label for e in truth.edges}
+        node_ids = sorted(truth.nodes)
+        while len(edges) < 3 * n:
+            src, tgt = rng.sample(node_ids, 2)
+            label = rng.choice(["", "yes", "no"]) if domain == "flowchart" else ""
+            edges.setdefault((src, tgt, label), label)
+        edges = {(elem_of[src], elem_of[tgt], norm): label
+                 for (src, tgt, norm), label in edges.items()}
     for elem in model.nodes.values():
         elem.count = rng.randint(1, 5)
         elem.labels = Counter({next(iter(elem.labels)): elem.count})
-    for (src, tgt, norm), label in sorted(edges.items()):
+    for key, label in sorted(edges.items()):
         count = rng.randint(1, 5)
-        model.edges[(elem_of[src], elem_of[tgt], norm)] = PartialElement(count, Counter({label: count}))
+        model.edges[key] = PartialElement(count, Counter({label: count}))
     return model
 
 
 # ---------------------------------------------------------------------------
 # Oracles
+
+
+def mlc(partial) -> LabeledGraph:
+    """Maximum likelihood concretization: strict-majority elements only,
+    ignoring all constraints; dangling edges are dropped."""
+    g = LabeledGraph()
+    for elem_id, elem in partial.nodes.items():
+        if elem.count * 2 > partial.n_candidates:
+            g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
+    for (src, tgt, _), elem in partial.edges.items():
+        if elem.count * 2 > partial.n_candidates and src in g.nodes and tgt in g.nodes:
+            g.add_edge(src, tgt, elem.representative_label)
+    return g
 
 
 ORACLE_LIMIT = 8

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abscon.abstraction import PartialModel, abstract, mlc
+from abscon.abstraction import PartialModel, abstract
 from abscon.concretize import solve, weights
 from abscon.constraints import build_problem, check
 from abscon.domains import profile
 from abscon.graph import ACTIVITY, LabeledGraph
 from abscon.llm import load_candidates
-from genutil import build_graph, candidate_pool, clone, graph_signature, random_flowchart
+from genutil import build_graph, candidate_pool, clone, graph_signature, mlc, random_flowchart
 
 DATA = Path(__file__).parent / "data"
 

@@ -10,7 +10,7 @@ import random
 import time
 from pathlib import Path
 
-from abscon.abstraction import abstract, mlc
+from abscon.abstraction import abstract
 from abscon.clevr import (
     Attr,
     Count,
@@ -50,6 +50,7 @@ from genutil import (
     candidate_pool,
     clone,
     graph_signature,
+    mlc,
     random_clevr_graph,
     random_clevr_program,
     random_flowchart,

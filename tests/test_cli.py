@@ -444,12 +444,63 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, config, named)
 def test_removed_timeout_match_flag_is_a_usage_error(tmp_path, capsys):
     assert main(["pipeline", "--domain", "flowchart", "--candidates", str(DATA / "fig2_pool"),
                  "--timeout-match", "1", "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    # argparse's usage text, then one JSON error line.
-    (error,) = [json.loads(line)["error"] for line in err.splitlines() if line.startswith("{")]
-    assert "--timeout-match" in error
+    assert "--timeout-match" in _error_line(capsys)
     assert not (tmp_path / "run").exists()
+
+
+def _usage_argv(command: str, tmp_path) -> list[str]:
+    """An argv that command parses, with tmp_path/out as its output."""
+    out = ["--out", str(tmp_path / "out")]
+    return {
+        "check": ["check", "--domain", "flowchart", str(DATA / "fig2_reference.mmd")],
+        "abstract": ["abstract", "--domain", "flowchart", "--candidates", str(DATA / "fig2_pool"),
+                     *out],
+        "concretize": ["concretize", "--domain", "flowchart",
+                       "--partial", str(_partial_json(tmp_path)), *out],
+        "generate": ["generate", "--domain", "flowchart", *out],
+        "pipeline": ["pipeline", "--domain", "flowchart", "--candidates", str(DATA / "fig2_pool"),
+                     *out],
+    }[command]
+
+
+# name: (command, flags put before its valid argv, text the error names)
+USAGE_ERRORS = {
+    # A flag only some commands read is a usage error on the others.
+    "check_tau": ("check", ["--tau", "0.3"], "--tau"),
+    "check_timeout_solve": ("check", ["--timeout-solve", "1"], "--timeout-solve"),
+    "abstract_timeout_solve": ("abstract", ["--timeout-solve", "1"], "--timeout-solve"),
+    "concretize_tau": ("concretize", ["--tau", "0.3"], "--tau"),
+    "generate_tau": ("generate", ["--tau", "0.3"], "--tau"),
+    "generate_timeout_solve": ("generate", ["--timeout-solve", "1"], "--timeout-solve"),
+    "unknown_flag": ("pipeline", ["--bogus"], "--bogus"),
+    "tau_text": ("pipeline", ["--tau", "abc"], "--tau"),
+    "unknown_domain": ("pipeline", ["--domain", "foo"], "--domain"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_is_one_json_line(tmp_path, capsys, case):
+    command, flags, named = USAGE_ERRORS[case]
+    argv = _usage_argv(command, tmp_path)
+    assert main([command, *flags, *argv[1:]]) == 1
+    assert named in _error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["pipeline", "--domain", "flowchart", "--candidates", str(DATA / "fig2_pool")], "--out"),
+    ([], "command"),
+], ids=["missing_out", "missing_command"])
+def test_missing_argument_is_one_json_line(capsys, argv, named):
+    assert main(argv) == 1
+    assert named in _error_line(capsys)
+
+
+def test_help_prints_usage_to_stdout(capsys):
+    assert main(["check", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: abscon check") and "--tau" not in captured.out
+    assert captured.err == ""
 
 
 POOL = str(DATA / "fig2_pool")

@@ -198,6 +198,17 @@ def test_check_clevr_violations():
     assert "arity" in names  # less_than is missing its second argument
 
 
+def test_check_clevr_stops_at_a_node_that_is_no_operation():
+    # The per-operation rules need every node's catalog entry, so check()
+    # reports the foreign node and checks no further.
+    g = LabeledGraph()
+    s = g.add_node("", clevr_op("scene"))
+    step = g.add_node("Ship order", ACTIVITY)
+    g.add_edge(s, step, "0")
+    report = check(g, profile("clevr"))
+    assert [(v.name, v.witnesses) for v in report.violations] == [("operation_kind", (step,))]
+
+
 # ---------------------------------------------------------------------------
 # Solver-side problem semantics agree with the concrete-graph checker.
 

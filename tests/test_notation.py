@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from abscon.clevr import clevr_op
 from abscon.errors import IncompatibleNotation, ModelSyntaxError
-from abscon.graph import ACTIVITY, CONCEPT, LabeledGraph
+from abscon.graph import ACTIVITY, CONCEPT, DECISION, LabeledGraph
 from abscon.notation import (
     Notation,
     display_label,
@@ -18,6 +18,7 @@ from abscon.notation import (
     serialize,
 )
 from genutil import (
+    build_graph,
     graph_signature,
     random_clevr_graph,
     random_mermaid_graph,
@@ -51,6 +52,24 @@ def test_parse_mermaid_id_only_reference_defaults_to_activity():
     g = parse("flowchart TD\nA --> B", Notation.MERMAID_FLOWCHART).graph
     assert g.nodes["A"].label == "A"
     assert g.nodes["A"].kind == ACTIVITY
+
+
+@pytest.mark.parametrize("text, label, kind", [
+    ("flowchart TD\nA[Check stock] --> B\nA{In stock?}\n", "Check stock", ACTIVITY),
+    ("flowchart TD\nA --> B\nA{In stock?}\n", "In stock?", DECISION),
+], ids=["first_explicit_wins", "explicit_replaces_implicit"])
+def test_parse_mermaid_redeclared_node(text, label, kind):
+    g = parse(text, Notation.MERMAID_FLOWCHART).graph
+    assert (g.nodes["A"].label, g.nodes["A"].kind) == (label, kind)
+
+
+def test_serialize_remaps_ids_outside_the_id_syntax():
+    g = build_graph([("a-b", "Receive order", ACTIVITY), ("c", "Ship order", ACTIVITY),
+                     ("x0", "Notify customer", ACTIVITY)],
+                    [("a-b", "c", ""), ("c", "x0", "done")])
+    text = serialize(g, Notation.MERMAID_FLOWCHART)
+    assert "a-b" not in text and "x1[Receive order]" in text  # x0 is taken
+    assert graph_signature(parse(text, Notation.MERMAID_FLOWCHART).graph) == graph_signature(g)
 
 
 def test_parse_mermaid_duplicate_edge_collapses_with_warning():

@@ -19,7 +19,7 @@ from abscon.concretize import INFEASIBLE, OPTIMAL, solve, weights
 from abscon.constraints import build_problem
 from abscon.domains import profile
 from abscon.llm import load_candidates
-from genutil import random_partial_model
+from genutil import dense_partial_model, random_partial_model
 from test_acceptance import _large_partial_model
 
 DATA = Path(__file__).parent / "data"
@@ -27,9 +27,13 @@ DATA = Path(__file__).parent / "data"
 
 def _partials(source: str):
     """"random/<domain>" draws 30 seeded random partial models;
-    "fixture/<dir>" abstracts the tests/data pool; "large" is acceptance
-    test 9's 50-node flowchart."""
+    "dense/<domain>" ten seeded dense_partial_model instances of 12-16
+    nodes; "fixture/<dir>" abstracts the tests/data pool; "large" is
+    acceptance test 9's 50-node flowchart."""
     origin, name = (source.split("/", 1) + [""])[:2]
+    if origin == "dense":
+        return [dense_partial_model(random.Random(f"solver-effort/{name}/{i}"), name, 12 + i % 5)
+                for i in range(10)]
     if origin == "random":
         rng = random.Random(f"solver-golden/{name}")
         return [random_partial_model(rng, name, max_vars=rng.choice([10, 14, 18, 22, 26]))
@@ -67,6 +71,8 @@ GOLDEN = [
      "eacaaa35b8a6180b72b038308313163bfa8830bd879996a842b403cd9d6d4c60"),
     ("large", "flowchart",
      "f6e08e028eb9cbb376f95b1c66b2e1e4d38f72561d42eb22f6fdd7d6d3dd2157"),
+    ("dense/clevr", "clevr",
+     "234058dd30b7ab67810570c3918f209f534c8a962cce307b1c73b582274e612f"),
 ]
 
 
