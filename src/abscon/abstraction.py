@@ -10,6 +10,7 @@ from .domains import DomainProfile
 from .errors import AbsconError, UnknownNode
 from .graph import Edge, LabeledGraph, NodeKind, edge_key
 from .matching import match
+from .similarity import SimilarityCache
 
 
 @dataclass(slots=True)
@@ -126,12 +127,14 @@ class PartialModel:
 
 def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialModel:
     """Fold candidates into a partial model: the first seeds it, and each
-    later one is matched against the representative-label view."""
+    later one is matched against the representative-label view. The folds
+    share one similarity cache, dropped when the call returns."""
     if not candidates:
         raise ValueError("at least one candidate is required")
     model = PartialModel(n_candidates=len(candidates))
+    cache = SimilarityCache()
     for i, candidate in enumerate(candidates):
-        node_map = dict(match(candidate, model.view(), profile).node_map) if i else {}
+        node_map = dict(match(candidate, model.view(), profile, cache).node_map) if i else {}
         for node_id in sorted(candidate.nodes):
             node = candidate.nodes[node_id]
             if node_id in node_map:

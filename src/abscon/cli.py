@@ -162,6 +162,8 @@ def _concretize_stage(partial: PartialModel, profile: DomainProfile, out: Path,
 
 
 def cmd_pipeline(args) -> int:
+    if args.candidates and (args.n is not None or args.temperature is not None):
+        return _fail("usage: --n and --temperature set sampling, which --candidates skips")
     config = _load_config(args)
     profile = _profile_from(args, config)
     out = Path(args.out)
@@ -398,9 +400,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # abscon does no threaded BLAS work (einsum with optimize=False, short
-    # dot products, scipy's _lsap, which links no BLAS), so OpenBLAS's pool
-    # only starts and spins, competing with the main thread on a small
+    # abscon does no threaded BLAS work (numpy builds the warm start's
+    # matrix elementwise, and scipy's _lsap links no BLAS), so OpenBLAS's
+    # pool only starts and spins, competing with the main thread on a small
     # machine. numpy is first imported, after this, at the first alignment
     # above matching.SMALL_LIMIT nodes; small pools never import it.
     if not any(name in os.environ for name in _BLAS_THREAD_VARS):

@@ -13,14 +13,12 @@ move, so an alignment depends on its inputs alone, never on the clock. The
 DomainProfile is the only configuration: similarity mode, embedding
 provider, label case and tau.
 
-One size rule picks the arithmetic. An alignment of at most SMALL_LIMIT
-nodes (candidate plus base) runs on the standard library alone: its
-similarities come from similarity_rows and its warm start is solved by
-_shortest_augmenting_path, a port of scipy's linear_sum_assignment. A larger
-one builds its similarities with numpy (similarity_matrix) and solves with
-scipy's compiled routine. The assignment matrices are bit-identical on both
-sides; cosines agree to within a few ulps, so an exact cost tie may rarely
-fall the other way.
+Node similarities come from similarity.similarity_rows at every size. One
+size rule picks only the warm start's arithmetic: at most SMALL_LIMIT nodes
+(candidate plus base) build the assignment matrix as lists and solve it with
+_shortest_augmenting_path, a port of scipy's linear_sum_assignment, loading
+neither numpy nor scipy; larger ones build the same matrix with numpy and
+solve it with scipy's compiled routine, which returns the same columns.
 """
 from __future__ import annotations
 
@@ -28,10 +26,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
-from .graph import LabeledGraph, Node, edge_key
-from .similarity import similarity_matrix, similarity_rows
+from .graph import LabeledGraph, edge_key
+from .similarity import SimilarityCache, similarity_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,17 +39,6 @@ if TYPE_CHECKING:
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
 SMALL_LIMIT = 64  # alignments of at most this many nodes (n + m) load neither numpy nor scipy
-
-
-def sub_matrix(left: list[Node], right: list[Node], profile: DomainProfile) -> np.ndarray:
-    """Node substitution costs 1 - similarity; inf where the similarity is
-    below the profile's tau. _Instance states the same rule on lists for
-    alignments of at most SMALL_LIMIT nodes."""
-    import numpy as np
-
-    sim = similarity_matrix(left, right, profile.similarity_mode, profile.provider,
-                            profile.case_sensitive_labels)
-    return np.where(sim < profile.tau, math.inf, 1.0 - sim)
 
 
 @dataclass
@@ -63,27 +51,16 @@ class MatchResult:
 class _Instance:
     """Precomputed cost data for one (candidate, base) pair."""
 
-    def __init__(self, candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile):
+    def __init__(self, candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile,
+                 cache: SimilarityCache | None = None):
         self.cand_ids = sorted(candidate.nodes)
         self.base_ids = sorted(base.nodes)
-        left = [candidate.nodes[c] for c in self.cand_ids]
-        right = [base.nodes[b] for b in self.base_ids]
-        self.small = len(left) + len(right) <= SMALL_LIMIT
-        # Finite substitutions per candidate node, in base id order; above
-        # SMALL_LIMIT also as the ndarray `sub` that the warm start reads.
-        if self.small:
-            sim = similarity_rows(left, right, profile.similarity_mode, profile.provider,
-                                  profile.case_sensitive_labels)
-            self.choices = {c: {b: 1.0 - s for b, s in zip(self.base_ids, row) if s >= profile.tau}
-                            for c, row in zip(self.cand_ids, sim)}
-        else:
-            import numpy as np
-
-            self.sub = sub_matrix(left, right, profile)
-            self.choices = {c: {} for c in self.cand_ids}
-            rows, cols = np.nonzero(np.isfinite(self.sub))
-            for i, j, value in zip(rows.tolist(), cols.tolist(), self.sub[rows, cols].tolist()):
-                self.choices[self.cand_ids[i]][self.base_ids[j]] = value
+        rows = similarity_rows([candidate.nodes[c] for c in self.cand_ids],
+                               [base.nodes[b] for b in self.base_ids], profile.similarity_mode,
+                               profile.provider, profile.case_sensitive_labels, profile.tau, cache)
+        # Allowed substitutions and their costs, per candidate node in base id order.
+        self.choices = {c: {self.base_ids[j]: 1.0 - sim for j, sim in row.items()}
+                        for c, row in zip(self.cand_ids, rows)}
         self.cand_edges = [edge_key(e.source, e.target, e.label) for e in candidate.edges]
         self.base_edge_set = {edge_key(e.source, e.target, e.label) for e in base.edges}
         self.n_base_edges = len(base.edges)
@@ -132,11 +109,13 @@ class _Instance:
         return delta - 2 * gained
 
 
-def match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile) -> MatchResult:
+def match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile,
+          cache: SimilarityCache | None = None) -> MatchResult:
     """Lowest-cost alignment found: exact up to EXHAUSTIVE_LIMIT nodes a
     side, otherwise the warm start refined to a local minimum. A function of
-    the two graphs and the profile alone."""
-    inst = _Instance(candidate, base, profile)
+    the two graphs and the profile alone; `cache` only saves recomputing
+    label vectors and similarities across calls (a fresh one when None)."""
+    inst = _Instance(candidate, base, profile, cache)
     if len(inst.cand_ids) <= EXHAUSTIVE_LIMIT and len(inst.base_ids) <= EXHAUSTIVE_LIMIT:
         node_map, total = _exhaustive(inst)
         return MatchResult(node_map, total, optimal=True)
@@ -230,7 +209,7 @@ def _assignment_start(inst: _Instance) -> dict[str, str]:
     entry other than a substitution cost is a small integer or a half, so
     both builds round alike."""
     n, m = len(inst.cand_ids), len(inst.base_ids)
-    if inst.small:
+    if n + m <= SMALL_LIMIT:
         pairs = enumerate(_shortest_augmenting_path(_small_matrix(inst)))
     else:
         pairs = zip(*_linear_sum_assignment()(_numpy_matrix(inst)))
@@ -356,6 +335,13 @@ def _numpy_matrix(inst: _Instance) -> np.ndarray:
     cand_out, cand_in = _label_counts(inst.cand_edges, inst.cand_ids, column)
     base_out, base_in = _label_counts(inst.base_edge_set, inst.base_ids, column)
 
+    # The allowed substitutions, row by row in base id order.
+    choices = [inst.choices[c] for c in inst.cand_ids]
+    rows = np.repeat(np.arange(n), [len(row) for row in choices])
+    base_column = {b: j for j, b in enumerate(inst.base_ids)}
+    cols = np.fromiter(map(base_column.__getitem__, chain.from_iterable(choices)), np.intp, len(rows))
+    subs = np.fromiter(chain.from_iterable(row.values() for row in choices), float, len(rows))
+
     local = np.zeros((n, m))
     for cand, base in ((cand_out, base_out), (cand_in, base_in)):
         shared = np.zeros((n, m))
@@ -366,7 +352,8 @@ def _numpy_matrix(inst: _Instance) -> np.ndarray:
     cand_degree = (cand_out + cand_in).sum(axis=1)
     base_degree = (base_out + base_in).sum(axis=1)
     matrix = np.zeros((n + m, n + m))
-    matrix[:n, :m] = np.where(np.isfinite(inst.sub), inst.sub + local, big)
+    matrix[:n, :m] = big
+    matrix[rows, cols] = subs + local[rows, cols]
     matrix[:n, m:] = big
     matrix[np.arange(n), m + np.arange(n)] = 1.0 + 0.5 * cand_degree
     matrix[n:, :m] = big

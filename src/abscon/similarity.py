@@ -2,14 +2,18 @@
 
 Node labels are compared either by exact (normalized) match or by cosine
 similarity of text embeddings. Edges are compared by graph.edge_key.
+similarity_rows scores every alignment, whatever its size, on the standard
+library: exactly rounded cosines, kept for a run of alignments in a
+SimilarityCache.
 """
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from array import array
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .errors import ProviderFailure
 from .graph import Node, NodeKind, normalize_label
@@ -18,9 +22,6 @@ try:  # hashlib's md5 maps OpenSSL's libcrypto: about 3.6 MB more resident memor
     from _md5 import md5
 except ImportError:  # an interpreter built without the builtin module
     from hashlib import md5
-
-if TYPE_CHECKING:  # numpy is imported only above matching.SMALL_LIMIT: about 14 MB, 0.1 s
-    import numpy as np
 
 EMBED_DIM = 256
 
@@ -141,63 +142,52 @@ class CachingProvider:
         return [self._cache[t] for t in texts]
 
 
-def similarity_matrix(
-    left: Sequence[Node],
-    right: Sequence[Node],
-    mode: SimilarityMode,
-    provider: EmbeddingProvider,
-    case_sensitive: bool,
-) -> np.ndarray:
-    """len(left) x len(right) similarities in [0, 1].
+class SimilarityCache(dict):
+    """Label vectors and label-pair similarities for alignments that share a
+    provider, such as the folds of one abstract() call. cache[a][b] is the
+    clipped cosine of labels a and b, computed on first lookup from the
+    vectors that add() keeps: each label's nonzero coordinates and norm."""
 
-    0 whenever the node kinds differ, 1 for equal normalized labels; other
-    pairs score 0 in exact mode and the clipped cosine of their label
-    embeddings otherwise (0 against a zero vector). All embeddings come from
-    a single provider call over the distinct labels that need one.
-    similarity_rows gives the same entries on the standard library; its
-    cosines are exactly rounded sums (math.fsum), so the two agree to within
-    a few ulps, not bit for bit.
-    """
-    import numpy as np
+    def __init__(self):
+        self.vectors: dict[str, tuple[dict[int, float], float]] = {}
+        self.dim: int | None = None
 
-    kinds: dict[NodeKind, int] = {}
-    labels: dict[str, int] = {}
+    def add(self, texts: Sequence[str], vectors: Sequence[Sequence[float]]) -> None:
+        """Keep the texts' vectors. ProviderFailure when a vector's length
+        differs from the first vector this cache saw, as when a provider
+        falls back to builtin vectors after serving remote ones."""
+        for text, vector in zip(texts, vectors):
+            if self.dim is None:
+                self.dim = len(vector)
+            if len(vector) != self.dim:
+                raise ProviderFailure(f"embedding of {text!r} has {len(vector)} dimensions,"
+                                      f" not {self.dim} like the ones before it")
+            entries = {k: float(x) for k, x in enumerate(vector) if x}
+            norm = math.sqrt(math.fsum(x * x for x in entries.values()))
+            self.vectors[text] = entries, norm or math.inf  # a zero vector scores 0
 
-    def intern(nodes: Sequence[Node]) -> tuple[np.ndarray, np.ndarray]:
-        kind_ids = [kinds.setdefault(n.kind, len(kinds)) for n in nodes]
-        label_ids = [
-            labels.setdefault(normalize_label(n.label, case_sensitive), len(labels)) for n in nodes
-        ]
-        return np.array(kind_ids, dtype=np.intp), np.array(label_ids, dtype=np.intp)
+    def __missing__(self, text: str) -> _Cosines:
+        cosines = self[text] = _Cosines(self, text)
+        return cosines
 
-    left_kind, left_label = intern(left)
-    right_kind, right_label = intern(right)
-    same_kind = left_kind[:, None] == right_kind[None, :]
-    same_label = left_label[:, None] == right_label[None, :]
-    sim = (same_kind & same_label).astype(float)
-    pending = same_kind & ~same_label
-    if mode == SimilarityMode.EXACT_LABEL or not pending.any():
-        return sim
 
-    rows = np.flatnonzero(pending.any(axis=1))
-    cols = np.flatnonzero(pending.any(axis=0))
-    texts = sorted({left[i].label for i in rows} | {right[j].label for j in cols})
-    vectors = provider.embed(texts)
-    vector_of = dict(zip(texts, vectors))
-    a = np.array([vector_of[left[i].label] for i in rows], dtype=float)
-    b = np.array([vector_of[right[j].label] for j in cols], dtype=float)
-    norm_a = np.array([np.linalg.norm(v) for v in a])
-    norm_b = np.array([np.linalg.norm(v) for v in b])
-    # einsum without optimization sums each pair's products in the same
-    # order whatever the matrix shape (BLAS matmul does not), so an entry
-    # never depends on which other nodes were in the call.
-    dots = np.einsum("ik,jk->ij", a, b, optimize=False)
-    nonzero = (norm_a[:, None] > 0) & (norm_b[None, :] > 0)
-    cos = np.zeros_like(dots)
-    np.divide(dots, np.outer(norm_a, norm_b), out=cos, where=nonzero)
-    block = np.ix_(rows, cols)
-    sim[block] = np.where(pending[block], np.clip(cos, 0.0, 1.0), sim[block])
-    return sim
+class _Cosines(dict):
+    def __init__(self, cache: SimilarityCache, text: str):
+        self.cache, self.text = cache, text
+
+    def __missing__(self, other: str) -> float:
+        # The products commute and fsum is exactly rounded, so a pair scores
+        # the same either way round, whichever vector the sum runs over.
+        value = self.cache.get(other, {}).get(self.text)
+        if value is None:
+            (a, norm_a), (b, norm_b) = self.cache.vectors[self.text], self.cache.vectors[other]
+            if len(b) < len(a):
+                a, b = b, a
+            products = (map(operator.mul, a.values(), b.values()) if len(a) == self.cache.dim
+                        else (x * b[k] for k, x in a.items() if k in b))  # dense: same coordinates
+            value = min(1.0, max(0.0, math.fsum(products) / (norm_a * norm_b)))
+        self[other] = value
+        return value
 
 
 def similarity_rows(
@@ -206,29 +196,46 @@ def similarity_rows(
     mode: SimilarityMode,
     provider: EmbeddingProvider,
     case_sensitive: bool,
-) -> list[list[float]]:
-    """similarity_matrix's rule and provider call, as nested lists and on
-    the standard library only. A cosine is math.fsum of the products over
-    the coordinates where both vectors are nonzero, divided by the product
-    of the two norms math.sqrt(math.fsum(x * x)); 0 against a zero vector.
-    """
+    tau: float,
+    cache: SimilarityCache | None = None,
+) -> list[dict[int, float]]:
+    """For each left node, {j: similarity} over the right nodes j whose
+    similarity is at least tau, in increasing j. A similarity is 0 across
+    node kinds and 1 for equal normalized labels; other pairs score 0 in
+    exact mode, else their labels' clipped cosine (0 against a zero vector)
+    from exactly rounded sums (math.fsum), so an entry depends neither on
+    the other nodes in the call nor on the cache. The vectors come from at
+    most one provider call, over the raw labels that need one and are not
+    in the cache (a fresh one when None)."""
+    cache = SimilarityCache() if cache is None else cache
     left_keys = [(n.kind, normalize_label(n.label, case_sensitive)) for n in left]
     right_keys = [(n.kind, normalize_label(n.label, case_sensitive)) for n in right]
-    sim = [[float(a == b) for b in right_keys] for a in left_keys]
-    pending = [(i, j) for i, (kind, label) in enumerate(left_keys)
-               for j, (other_kind, other_label) in enumerate(right_keys)
-               if kind == other_kind and label != other_label]
-    if mode == SimilarityMode.EXACT_LABEL or not pending:
-        return sim
+    embedding = mode == SimilarityMode.EMBEDDING
+    if embedding:
+        # A label needs a vector when the other side has a node of its kind
+        # with a different normalized label.
+        texts = set()
+        for nodes, keys, others in (left, left_keys, right_keys), (right, right_keys, left_keys):
+            labels_of: dict[NodeKind, set[str]] = {}
+            for kind, label in others:
+                labels_of.setdefault(kind, set()).add(label)
+            texts.update(n.label for n, (kind, label) in zip(nodes, keys)
+                         if not labels_of.get(kind, set()) <= {label})
+        missing = sorted(texts.difference(cache.vectors))
+        if missing:
+            cache.add(missing, provider.embed(missing))
 
-    texts = sorted({left[i].label for i, _ in pending} | {right[j].label for _, j in pending})
-    sparse = {}  # text -> (nonzero coordinates, norm)
-    for text, vector in zip(texts, provider.embed(texts)):
-        entries = {k: x for k, x in enumerate(vector) if x}
-        sparse[text] = entries, math.sqrt(math.fsum(x * x for x in entries.values()))
-    for i, j in pending:
-        (a, norm_a), (b, norm_b) = sparse[left[i].label], sparse[right[j].label]
-        if norm_a > 0 and norm_b > 0:
-            dot = math.fsum(x * b[k] for k, x in a.items() if k in b)
-            sim[i][j] = min(1.0, max(0.0, dot / (norm_a * norm_b)))
-    return sim
+    # Each left node is scored against the right nodes of its kind, and in
+    # exact mode only those with its normalized label: every other pair
+    # scores 0, which only tau 0 allows.
+    groups: dict = {}
+    for j, (node, (kind, label)) in enumerate(zip(right, right_keys)):
+        groups.setdefault(kind if embedding else (kind, label), []).append((j, label, node.label))
+    rows = []
+    for node, (kind, label) in zip(left, left_keys):
+        cosines = cache[node.label] if embedding else {}
+        sims = {j: 1.0 if other == label else cosines[text]
+                for j, other, text in groups.get(kind if embedding else (kind, label), ())}
+        rows.append({**dict.fromkeys(range(len(right)), 0.0), **sims} if tau <= 0
+                    else {j: sim for j, sim in sims.items() if sim >= tau})
+    return rows

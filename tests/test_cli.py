@@ -475,6 +475,9 @@ USAGE_ERRORS = {
     "unknown_flag": ("pipeline", ["--bogus"], "--bogus"),
     "tau_text": ("pipeline", ["--tau", "abc"], "--tau"),
     "unknown_domain": ("pipeline", ["--domain", "foo"], "--domain"),
+    # Sampling flags do nothing when pipeline reads candidates from disk.
+    "pipeline_n_with_candidates": ("pipeline", ["--n", "50"], "--n"),
+    "pipeline_temperature_with_candidates": ("pipeline", ["--temperature", "9"], "--temperature"),
 }
 
 

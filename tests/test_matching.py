@@ -19,8 +19,8 @@ from abscon.matching import (
     _assignment_start,
     _Instance,
     match,
-    sub_matrix,
 )
+from abscon.similarity import similarity_rows
 from genutil import build_graph, exhaustive_match, random_mermaid_graph
 
 FLOWCHART = profile("flowchart")
@@ -99,8 +99,9 @@ def test_oracle_dominance_on_random_pairs():
         if approx.optimal:
             assert approx.total_cost == pytest.approx(oracle.total_cost)
         for c, base_id in oracle.node_map.items():
-            sim = 1.0 - sub_matrix([a.nodes[c]], [b.nodes[base_id]], FLOWCHART)[0, 0]
-            assert sim >= FLOWCHART.tau
+            (row,) = similarity_rows([a.nodes[c]], [b.nodes[base_id]], FLOWCHART.similarity_mode,
+                                     FLOWCHART.provider, FLOWCHART.case_sensitive_labels, 0.0)
+            assert row[0] >= FLOWCHART.tau
 
 
 def test_determinism():

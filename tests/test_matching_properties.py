@@ -1,13 +1,13 @@
-"""Properties of the array-built matcher.
+"""Properties of the matcher.
 
-- Every entry of the similarity and substitution matrices equals the 1 x 1
-  matrix for that pair, and follows the scalar rule (kind, normalized label,
-  clipped cosine).
+- Every similarity equals the 1 x 1 call for that pair and follows the
+  scalar rule (kind, normalized label, clipped cosine); tau keeps exactly the
+  pairs at or above it, in increasing index.
+- A similarity depends neither on the other nodes in the call nor on what
+  the cache already holds.
 - The local search's move delta equals the change in the full mapping cost.
 - One heuristic alignment makes at most one embedding request.
 - The warm start's pure-Python assignment returns scipy's rows and columns.
-- similarity_rows, the standard-library path, agrees with similarity_matrix
-  to within a few ulps.
 """
 from __future__ import annotations
 
@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from abscon.clevr import clevr_op
 from abscon.domains import profile
 from abscon.graph import ACTIVITY, CONCEPT, DECISION, Node, normalize_label
-from abscon.matching import _Instance, _shortest_augmenting_path, match, sub_matrix
+from abscon.matching import _Instance, _shortest_augmenting_path, match
 from abscon.similarity import (
     BuiltinProvider,
     CachingProvider,
+    SimilarityCache,
     SimilarityMode,
-    similarity_matrix,
     similarity_rows,
 )
 from genutil import WORDS, cosine, noisy_candidate, random_flowchart, random_mermaid_graph
@@ -73,7 +73,7 @@ providers = st.one_of(
 
 
 def _reference_similarity(a: Node, b: Node, mode, provider, case_sensitive) -> float:
-    """The scalar rule, written out independently of similarity_matrix."""
+    """The scalar rule, written out independently of similarity_rows."""
     if a.kind != b.kind:
         return 0.0
     if normalize_label(a.label, case_sensitive) == normalize_label(b.label, case_sensitive):
@@ -88,34 +88,54 @@ def _reference_similarity(a: Node, b: Node, mode, provider, case_sensitive) -> f
 @given(left=nodes("c"), right=nodes("b"), mode=st.sampled_from(list(SimilarityMode)),
        provider=providers, case_sensitive=st.booleans(), tau=st.sampled_from(TAUS))
 def test_matrices_agree_with_scalar_similarity(left, right, mode, provider, case_sensitive, tau):
-    sim = similarity_matrix(left, right, mode, provider, case_sensitive)
-    prof = profile("flowchart", similarity_mode=mode, provider=provider, tau=tau,
-                   case_sensitive_labels=case_sensitive)
-    sub = sub_matrix(left, right, prof)
-    assert sim.shape == sub.shape == (len(left), len(right))
+    full = similarity_rows(left, right, mode, provider, case_sensitive, 0.0)
+    rows = similarity_rows(left, right, mode, provider, case_sensitive, tau)
+    assert len(full) == len(rows) == len(left)
     for i, a in enumerate(left):
+        assert list(full[i]) == list(range(len(right)))
+        assert rows[i] == {j: sim for j, sim in full[i].items() if sim >= tau}
+        assert list(rows[i]) == sorted(rows[i])
         for j, b in enumerate(right):
-            assert sim[i, j] == similarity_matrix([a], [b], mode, provider, case_sensitive)[0, 0]
-            assert sub[i, j] == sub_matrix([a], [b], prof)[0, 0]
-            # cosine() and the matrix sum the dot product in different orders.
-            assert sim[i, j] == pytest.approx(
+            assert full[i][j] == similarity_rows([a], [b], mode, provider, case_sensitive, 0.0)[0][0]
+            # cosine() sums the dot product in another order, not exactly rounded.
+            assert full[i][j] == pytest.approx(
                 _reference_similarity(a, b, mode, provider, case_sensitive), abs=1e-12
             )
-            assert sub[i, j] == (np.inf if sim[i, j] < tau else 1.0 - sim[i, j])
 
 
 def test_matrix_entries_do_not_depend_on_matrix_shape():
-    # BLAS matrix products round some entries differently at different
-    # shapes; at this size that would show against the 1 x 1 case.
+    # Every sum is exactly rounded, so an entry of a large call equals the
+    # 1 x 1 call, bit for bit.
     labels = [f"{a} {b}" for a in WORDS for b in WORDS[:6]]
     left = [Node(f"c{i}", label, ACTIVITY) for i, label in enumerate(labels)]
     right = left[::-1]
     provider = CachingProvider(BuiltinProvider())
     mode = SimilarityMode.EMBEDDING
-    sim = similarity_matrix(left, right, mode, provider, False)
+    sim = similarity_rows(left, right, mode, provider, False, 0.0)
     for i in range(0, len(left), 9):
         for j, b in enumerate(right):
-            assert sim[i, j] == similarity_matrix([left[i]], [b], mode, provider, False)[0, 0]
+            assert sim[i][j] == similarity_rows([left[i]], [b], mode, provider, False, 0.0)[0][0]
+
+
+@settings(max_examples=150)
+@given(left=nodes("c"), right=nodes("b"), others=nodes("o"),
+       mode=st.sampled_from(list(SimilarityMode)), provider=providers,
+       case_sensitive=st.booleans(), tau=st.sampled_from(TAUS), data=st.data())
+def test_similarity_does_not_depend_on_the_call_or_the_cache(left, right, others, mode, provider,
+                                                             case_sensitive, tau, data):
+    expected = similarity_rows(left, right, mode, provider, case_sensitive, tau)
+    # A cache that has already scored other nodes, against each other and
+    # against some of these, in both directions.
+    cache = SimilarityCache()
+    similarity_rows(others + right[::2], left[1::2] + others, mode, provider, case_sensitive, 0.0,
+                    cache)
+    # The same pairs in a call shared with other nodes, in another order.
+    wider = data.draw(st.permutations(right + others))
+    rows = similarity_rows(left, wider, mode, provider, case_sensitive, tau, cache)
+    position = {id(node): k for k, node in enumerate(wider)}
+    index_in_right = {position[id(node)]: j for j, node in enumerate(right)}
+    for row, expected_row in zip(rows, expected):
+        assert {index_in_right[k]: sim for k, sim in row.items() if k in index_in_right} == expected_row
 
 
 def _random_injection(rng: random.Random, inst: _Instance) -> dict[str, str]:
@@ -204,16 +224,3 @@ def test_pure_assignment_returns_scipys_rows_and_columns(seed, n, extra_columns,
     rows, cols = linear_sum_assignment(np.array(cost))
     assert rows.tolist() == list(range(n))
     assert _shortest_augmenting_path(cost) == cols.tolist()
-
-
-@settings(max_examples=150)
-@given(left=nodes("c"), right=nodes("b"), mode=st.sampled_from(list(SimilarityMode)),
-       provider=providers, case_sensitive=st.booleans())
-def test_similarity_rows_agree_with_similarity_matrix(left, right, mode, provider, case_sensitive):
-    rows = similarity_rows(left, right, mode, provider, case_sensitive)
-    sim = similarity_matrix(left, right, mode, provider, case_sensitive)
-    assert len(rows) == len(left) and all(len(row) == len(right) for row in rows)
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            # fsum against einsum's running sum: a few ulps on values in [0, 1].
-            assert value == pytest.approx(sim[i, j], rel=0, abs=1e-15)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -13,6 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from abscon.abstraction import abstract
+from abscon.cli import main
+from abscon.domains import profile
 from abscon.errors import ProviderFailure
 from abscon.graph import ACTIVITY, DECISION, Node, normalize_label
 from abscon.similarity import (
@@ -21,9 +26,9 @@ from abscon.similarity import (
     RemoteProvider,
     BuiltinProvider,
     SimilarityMode,
-    similarity_matrix,
+    similarity_rows,
 )
-from genutil import cosine
+from genutil import cosine, random_flowchart
 
 BUILTIN = BuiltinProvider()
 DATA = Path(__file__).parent / "data"
@@ -62,8 +67,8 @@ def test_builtin_embed_empty_is_zero_vector():
 
 
 def test_builtin_embed_matches_oracle():
-    # Bit for bit, so that alignments on either side of matching.SMALL_LIMIT
-    # see the vectors the numpy implementation gave.
+    # Bit for bit, so that alignments see the vectors the earlier numpy
+    # implementation gave, and the pinned outputs keep their bytes.
     for text in ["check stock", "stock check", "paint wall", "Verify  Inventory",
                  "aaaa aaaa aaaa", "", "x"]:
         provided, = BUILTIN.embed([text])
@@ -81,29 +86,34 @@ def test_word_order_similarity_ranking():
     assert close > far
 
 
+def _similarity(a: Node, b: Node, mode: SimilarityMode) -> float:
+    (row,) = similarity_rows([a], [b], mode, BUILTIN, False, 0.0)
+    return row[0]
+
+
 def test_node_similarity_exact_mode():
     a = Node("1", "Start", ACTIVITY)
     b = Node("2", " start ", ACTIVITY)
-    assert similarity_matrix([a], [b], SimilarityMode.EXACT_LABEL, BUILTIN, False)[0, 0] == 1.0
+    assert _similarity(a, b, SimilarityMode.EXACT_LABEL) == 1.0
     c = Node("3", "Stop", ACTIVITY)
-    assert similarity_matrix([a], [c], SimilarityMode.EXACT_LABEL, BUILTIN, False)[0, 0] == 0.0
+    assert _similarity(a, c, SimilarityMode.EXACT_LABEL) == 0.0
 
 
 def test_node_similarity_kind_mismatch_is_zero():
     a = Node("1", "Start", ACTIVITY)
     b = Node("2", "Start", DECISION)
     for mode in SimilarityMode:
-        assert similarity_matrix([a], [b], mode, BUILTIN, False)[0, 0] == 0.0
+        assert _similarity(a, b, mode) == 0.0
 
 
 def test_node_similarity_embedding_symmetric_in_range():
     a = Node("1", "check stock", ACTIVITY)
     b = Node("2", "verify inventory", ACTIVITY)
-    s1 = similarity_matrix([a], [b], SimilarityMode.EMBEDDING, BUILTIN, False)[0, 0]
-    s2 = similarity_matrix([b], [a], SimilarityMode.EMBEDDING, BUILTIN, False)[0, 0]
+    s1 = _similarity(a, b, SimilarityMode.EMBEDDING)
+    s2 = _similarity(b, a, SimilarityMode.EMBEDDING)
     assert s1 == s2
     assert 0.0 < s1 < 1.0
-    assert similarity_matrix([a], [a], SimilarityMode.EMBEDDING, BUILTIN, False)[0, 0] == 1.0
+    assert _similarity(a, a, SimilarityMode.EMBEDDING) == 1.0
 
 
 class _StubEmbedHandler(BaseHTTPRequestHandler):
@@ -128,14 +138,46 @@ class _StubEmbedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubEmbedHandler)
+class _OnceThenFailsHandler(BaseHTTPRequestHandler):
+    """Serves one reply of 3-d vectors, then answers 500 like an endpoint
+    that went down."""
+
+    served = 0
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        texts = json.loads(self.rfile.read(length))["texts"]
+        if _OnceThenFailsHandler.served:
+            self.send_response(500)
+            self.end_headers()
+            return
+        _OnceThenFailsHandler.served += 1
+        body = json.dumps({"vectors": [[1.0, float(len(t)), 0.5] for t in texts]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/embed"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/embed"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture()
+def stub_server():
+    with _serving(_StubEmbedHandler) as url:
+        yield url
 
 
 def test_remote_provider_round_trip(stub_server):
@@ -201,6 +243,45 @@ def test_remote_provider_failure_and_fallback(stub_server):
         assert vecs == BUILTIN.embed(["check stock"])
     finally:
         _StubEmbedHandler.fail = False
+
+
+class _OnceThenFails:
+    """Serves 3-d vectors once, then fails."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        if self.calls > 1:
+            raise ProviderFailure("endpoint went down")
+        return [[1.0, float(len(t)), 0.5] for t in texts]
+
+
+def test_embeddings_of_mixed_dimension_fail():
+    # The fallback serves 256-d builtin vectors after the provider's 3-d
+    # ones; scoring them against each other would be meaningless.
+    rng = random.Random("mixed-dimension")
+    pool = [random_flowchart(rng, 8) for _ in range(3)]
+    prof = profile("flowchart",
+                   provider=CachingProvider(_OnceThenFails(), fallback_to_builtin=True))
+    with pytest.raises(ProviderFailure, match="dimensions"):
+        abstract(pool, prof)
+
+
+def test_embeddings_of_mixed_dimension_exit_1(tmp_path, capsys):
+    _OnceThenFailsHandler.served = 0
+    config = tmp_path / "cfg.json"
+    with _serving(_OnceThenFailsHandler) as url:
+        config.write_text(json.dumps({"domain": "flowchart", "embedding_endpoint": url,
+                                      "embedding_fallback": True}))
+        code = main(["pipeline", "--config", str(config), "--candidates", str(DATA / "fig2_pool"),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert "dimensions" in json.loads(line)["error"]
+    assert _OnceThenFailsHandler.served == 1
 
 
 def test_caching_provider_calls_inner_once():
