@@ -88,13 +88,20 @@ class PartialModel:
         """Read what to_json writes. Edge rows that share an edge key are
         summed, which is exact: a candidate contributes to at most one of
         them. A dangling edge endpoint raises UnknownNode; a missing field,
-        a duplicate node id, an edge row whose labels are not all one edge
-        key's, or an element whose label histogram is empty, or whose count
-        is not the histogram's total or lies outside 1..n_candidates, raises
-        AbsconError."""
+        an n_candidates, count or label count that is not a positive int (a
+        bool is not one), a duplicate node id, an edge row whose labels are
+        not all one edge key's, or an element whose label histogram is
+        empty, or whose count is not the histogram's total or lies outside
+        1..n_candidates, raises AbsconError."""
         data = json.loads(text)
         try:
             model = cls(n_candidates=data["n_candidates"])
+            counts = [model.n_candidates]
+            for row in [*data["nodes"], *data["edges"]]:
+                counts += [row["count"], *row["labels"].values()]
+            for k in counts:
+                if type(k) is not int or k < 1:  # rejects bools, a subclass of int
+                    raise AbsconError(f"partial model: count {k!r} is not a positive integer")
             for row in data["nodes"]:
                 if not isinstance(row["id"], str) or row["id"] in model.nodes:
                     raise AbsconError(f"partial model: bad or duplicate node id {row['id']!r}")
@@ -118,7 +125,7 @@ class PartialModel:
                 if not elem.labels or elem.count != total or not 1 <= total <= model.n_candidates:
                     raise AbsconError(f"partial model: element {name!r} has count {elem.count} and"
                                       f" {total} labels in {model.n_candidates} candidates")
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise AbsconError(f"partial model: missing or malformed field {exc}") from None
         ids = [int(i[1:]) for i in model.nodes if i.startswith("p") and i[1:].isdigit()]
         model._next_id = max(ids, default=-1) + 1

@@ -46,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_fail(f"usage: {message}"))
 
 
+class _JsonLines(logging.Formatter):
+    """A log record as one JSON line, such as {"warning": message}, like the
+    {"error": message} line of a failed command."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return json.dumps({record.levelname.lower(): record.getMessage()})
+
+
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
     print(json.dumps({"error": message}), file=sys.stderr)
     return code
@@ -400,14 +408,16 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # abscon does no threaded BLAS work (numpy builds the warm start's
-    # matrix elementwise, and scipy's _lsap links no BLAS), so OpenBLAS's
+    # abscon does no threaded BLAS work (the warm start's matrix is built on
+    # the standard library, and scipy's _lsap links no BLAS), so OpenBLAS's
     # pool only starts and spins, competing with the main thread on a small
-    # machine. numpy is first imported, after this, at the first alignment
-    # above matching.SMALL_LIMIT nodes; small pools never import it.
+    # machine. numpy is first imported, after this, by _lsap at the first
+    # alignment above matching.SMALL_LIMIT nodes; small pools never import it.
     if not any(name in os.environ for name in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    logging.basicConfig(level=logging.WARNING)
+    handler = logging.StreamHandler()
+    handler.setFormatter(_JsonLines())
+    logging.basicConfig(level=logging.WARNING, handlers=[handler])
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,28 +13,27 @@ move, so an alignment depends on its inputs alone, never on the clock. The
 DomainProfile is the only configuration: similarity mode, embedding
 provider, label case and tau.
 
-Node similarities come from similarity.similarity_rows at every size. One
-size rule picks only the warm start's arithmetic: at most SMALL_LIMIT nodes
-(candidate plus base) build the assignment matrix as lists and solve it with
-_shortest_augmenting_path, a port of scipy's linear_sum_assignment, loading
-neither numpy nor scipy; larger ones build the same matrix with numpy and
-solve it with scipy's compiled routine, which returns the same columns.
+Node similarities come from similarity.similarity_rows and the warm start's
+assignment matrix from _assignment_matrix, at every size. One size rule picks
+only the solver: at most SMALL_LIMIT nodes (candidate plus base) are solved
+with _shortest_augmenting_path, a port of scipy's linear_sum_assignment, so
+they load neither numpy nor scipy; larger ones with scipy's compiled
+routine, which returns the same columns.
 """
 from __future__ import annotations
 
 import math
 import os
 import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .graph import LabeledGraph, edge_key
 from .similarity import SimilarityCache, similarity_rows
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .domains import DomainProfile
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
@@ -205,14 +204,19 @@ def _assignment_start(inst: _Instance) -> dict[str, str]:
     right block, insertion costs on that of the bottom left block, 1e6
     standing in for every forbidden entry and 0 in the bottom right block.
     The local edge term of substituting c by b is half the unshared incident
-    edge labels, in and out, where sharing is multiset intersection. Every
-    entry other than a substitution cost is a small integer or a half, so
-    both builds round alike."""
+    edge labels, in and out, where sharing is multiset intersection. The
+    size rule picks only the solver: _shortest_augmenting_path up to
+    SMALL_LIMIT nodes, scipy's routine above it, on the same matrix."""
     n, m = len(inst.cand_ids), len(inst.base_ids)
-    if n + m <= SMALL_LIMIT:
-        pairs = enumerate(_shortest_augmenting_path(_small_matrix(inst)))
+    size = n + m
+    matrix = _assignment_matrix(inst)
+    if size <= SMALL_LIMIT:
+        rows = [matrix[k:k + size] for k in range(0, size * size, size)]
+        pairs = enumerate(_shortest_augmenting_path(rows))
     else:
-        pairs = zip(*_linear_sum_assignment()(_numpy_matrix(inst)))
+        # A memoryview takes a shape only in a cast from bytes.
+        square = memoryview(matrix).cast("B").cast("d", (size, size))
+        pairs = zip(*_linear_sum_assignment()(square))
     node_map = {}
     for i, j in pairs:
         if i < n and j < m and inst.base_ids[j] in inst.choices[inst.cand_ids[i]]:
@@ -220,47 +224,51 @@ def _assignment_start(inst: _Instance) -> dict[str, str]:
     return node_map
 
 
-def _small_matrix(inst: _Instance) -> list[list[float]]:
-    """_assignment_start's matrix as nested lists, from label counters."""
+def _assignment_matrix(inst: _Instance) -> array:
+    """_assignment_start's matrix, row-major in one array('d'), which scipy
+    reads through the buffer protocol without a copy. Only allowed
+    substitutions are filled. Every entry other than a substitution cost is
+    a small integer or a half, so each entry is rounded once."""
     n, m = len(inst.cand_ids), len(inst.base_ids)
-    big = 1e6  # stands in for forbidden substitutions
-    cand = _label_counters(inst.cand_edges, inst.cand_ids)
-    base = _label_counters(inst.base_edge_set, inst.base_ids)
-
-    def unshared(a: dict[str, int], b: dict[str, int]) -> int:
-        return sum(a.values()) + sum(b.values()) - 2 * sum(
-            min(k, b[l]) for l, k in a.items() if l in b)
-
-    matrix = []
+    size = n + m
+    cand = _label_counts(inst.cand_edges, inst.cand_ids)
+    base = _label_counts(inst.base_edge_set, inst.base_ids)
+    column = {b: j for j, b in enumerate(inst.base_ids)}
+    matrix = array("d", [1e6]) * (size * size)
     for i, c in enumerate(inst.cand_ids):
-        row = [big] * (n + m)
-        choices = inst.choices[c]
-        out, inc = cand[c]
-        for j, b in enumerate(inst.base_ids):
-            if b in choices:
-                base_out, base_in = base[b]
-                row[j] = choices[b] + (0.5 * unshared(out, base_out) + 0.5 * unshared(inc, base_in))
-        row[m + i] = 1.0 + 0.5 * (sum(out.values()) + sum(inc.values()))
-        matrix.append(row)
+        row = i * size
+        counts, degree = cand[c]
+        labels = counts.items()
+        for b, sub in inst.choices[c].items():
+            base_counts, base_degree = base[b]
+            unshared = degree + base_degree
+            # An explicit loop: a generator per entry costs more than the rest.
+            for key, k in labels:
+                base_k = base_counts.get(key)
+                if base_k:
+                    unshared -= 2 * (k if k < base_k else base_k)
+            matrix[row + column[b]] = sub + 0.5 * unshared
+        matrix[row + m + i] = 1.0 + 0.5 * degree
+    zeros = array("d", [0.0]) * n
     for j, b in enumerate(inst.base_ids):
-        row = [big] * m + [0.0] * n
-        out, inc = base[b]
-        row[j] = 1.0 + 0.5 * (sum(out.values()) + sum(inc.values()))
-        matrix.append(row)
+        row = (n + j) * size
+        matrix[row + j] = 1.0 + 0.5 * base[b][1]
+        matrix[row + m:row + size] = zeros
     return matrix
 
 
-def _label_counters(edges, ids: list[str]) -> dict[str, tuple[dict[str, int], dict[str, int]]]:
-    """Per-node outgoing and incoming edge counts by label."""
-    counters = {node_id: ({}, {}) for node_id in ids}
+def _label_counts(edges, ids: list[str]) -> dict[str, tuple[dict[tuple[str, str], int], int]]:
+    """Per node: its incident edges counted by direction and label, and
+    their total, the degree (a self-loop counts once each way)."""
+    counts = {node_id: {} for node_id in ids}
     for s, t, l in edges:
-        out, inc = counters[s][0], counters[t][1]
-        out[l] = out.get(l, 0) + 1
-        inc[l] = inc.get(l, 0) + 1
-    return counters
+        out, inc = counts[s], counts[t]
+        out["out", l] = out.get(("out", l), 0) + 1
+        inc["in", l] = inc.get(("in", l), 0) + 1
+    return {node_id: (c, sum(c.values())) for node_id, c in counts.items()}
 
 
-def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
+def _shortest_augmenting_path(cost: Sequence[Sequence[float]]) -> list[int]:
     """Minimum-cost assignment of a cost matrix with no more rows than
     columns and no NaN or -inf entry: the column of each row.
 
@@ -324,43 +332,6 @@ def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def _numpy_matrix(inst: _Instance) -> np.ndarray:
-    """_assignment_start's matrix as an ndarray, from label count arrays."""
-    import numpy as np
-
-    n, m = len(inst.cand_ids), len(inst.base_ids)
-    big = 1e6  # stands in for forbidden substitutions
-    labels = sorted({l for _, _, l in inst.cand_edges} | {l for _, _, l in inst.base_edge_set})
-    column = {l: k for k, l in enumerate(labels)}
-    cand_out, cand_in = _label_counts(inst.cand_edges, inst.cand_ids, column)
-    base_out, base_in = _label_counts(inst.base_edge_set, inst.base_ids, column)
-
-    # The allowed substitutions, row by row in base id order.
-    choices = [inst.choices[c] for c in inst.cand_ids]
-    rows = np.repeat(np.arange(n), [len(row) for row in choices])
-    base_column = {b: j for j, b in enumerate(inst.base_ids)}
-    cols = np.fromiter(map(base_column.__getitem__, chain.from_iterable(choices)), np.intp, len(rows))
-    subs = np.fromiter(chain.from_iterable(row.values() for row in choices), float, len(rows))
-
-    local = np.zeros((n, m))
-    for cand, base in ((cand_out, base_out), (cand_in, base_in)):
-        shared = np.zeros((n, m))
-        for k in range(len(labels)):
-            shared += np.minimum.outer(cand[:, k], base[:, k])
-        local += 0.5 * (cand.sum(axis=1)[:, None] + base.sum(axis=1)[None, :] - 2 * shared)
-
-    cand_degree = (cand_out + cand_in).sum(axis=1)
-    base_degree = (base_out + base_in).sum(axis=1)
-    matrix = np.zeros((n + m, n + m))
-    matrix[:n, :m] = big
-    matrix[rows, cols] = subs + local[rows, cols]
-    matrix[:n, m:] = big
-    matrix[np.arange(n), m + np.arange(n)] = 1.0 + 0.5 * cand_degree
-    matrix[n:, :m] = big
-    matrix[n + np.arange(m), np.arange(m)] = 1.0 + 0.5 * base_degree
-    return matrix
-
-
 def _linear_sum_assignment():
     """scipy's linear_sum_assignment, without importing scipy.optimize.
 
@@ -390,19 +361,6 @@ def _linear_sum_assignment():
 
             return linear_sum_assignment
     return sys.modules[name].linear_sum_assignment
-
-
-def _label_counts(edges, ids: list[str], column: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node outgoing and incoming edge counts, one column per label."""
-    import numpy as np
-
-    row = {node_id: i for i, node_id in enumerate(ids)}
-    out = np.zeros((len(ids), len(column)))
-    inc = np.zeros((len(ids), len(column)))
-    for s, t, l in edges:
-        out[row[s], column[l]] += 1
-        inc[row[t], column[l]] += 1
-    return out, inc
 
 
 def _refine(inst: _Instance, node_map: dict[str, str]) -> tuple[dict[str, str], float]:

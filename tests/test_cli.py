@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,9 @@ BAD_PARTIALS = {
     "count_not_label_total": lambda d: d["nodes"][0].update(count=2),
     "count_above_n_candidates": lambda d: d["edges"][3].update(count=4, labels={"no": 4}),
     "labels_of_two_edges": lambda d: d["edges"][3].update(labels={"no": 2, "yes": 1}),
+    "negative_label_count": lambda d: d["nodes"][0].update(labels={"zz bogus": -1, "Receive order": 4}),
+    "fractional_label_counts": lambda d: d["nodes"][2].update(labels={"half a": 2.5, "half b": 0.5}),
+    "boolean_counts": lambda d: d["nodes"][0].update(count=True, labels={"Receive order": True}),
 }
 
 
@@ -354,6 +358,20 @@ def test_pipeline_reports_parse_warnings_in_candidate_order(tmp_path):
                  "--out", str(tmp_path / "clean")]) == 0
     report = json.loads((tmp_path / "clean" / "report.json").read_text())
     assert report["parse_warnings"] == []
+
+
+def test_every_stderr_line_is_json(tmp_path):
+    # A fresh interpreter: main()'s logging setup does nothing once the root
+    # logger has handlers, as it has under pytest.
+    pool = tmp_path / "pool"
+    shutil.copytree(DATA / "fig2_pool", pool)
+    (pool / "zz_bad.mmd").write_text("not mermaid")
+    result = subprocess.run([sys.executable, "-m", "abscon.cli", "pipeline", "--domain", "flowchart",
+                             "--candidates", str(pool), "--out", str(tmp_path / "run")],
+                            env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0
+    lines = [json.loads(line) for line in result.stderr.splitlines()]
+    assert any("zz_bad.mmd" in line.get("warning", "") for line in lines)
 
 
 def test_small_pool_runs_load_neither_numpy_nor_scipy(tmp_path):

@@ -7,11 +7,13 @@
   the cache already holds.
 - The local search's move delta equals the change in the full mapping cost.
 - One heuristic alignment makes at most one embedding request.
+- Every entry of the warm start's assignment matrix follows its definition.
 - The warm start's pure-Python assignment returns scipy's rows and columns.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from abscon.clevr import clevr_op
 from abscon.domains import profile
-from abscon.graph import ACTIVITY, CONCEPT, DECISION, Node, normalize_label
-from abscon.matching import _Instance, _shortest_augmenting_path, match
+from abscon.graph import ACTIVITY, CONCEPT, DECISION, LabeledGraph, Node, edge_key, normalize_label
+from abscon.matching import _assignment_matrix, _Instance, _shortest_augmenting_path, match
 from abscon.similarity import (
     BuiltinProvider,
     CachingProvider,
@@ -205,6 +207,68 @@ def test_heuristic_match_makes_at_most_one_embed_call(seed):
     result = match(candidate, truth, profile("flowchart", provider=Counting()))
     assert not result.optimal
     assert len(calls) <= 1
+
+
+@st.composite
+def graphs(draw, prefix: str):
+    """Nodes of every kind, clevr included, or none; edges with self-loops,
+    case variants of one label and labels repeated at a node."""
+    g = LabeledGraph()
+    for node in draw(nodes(prefix)):
+        g.add_node(node.label, node.kind, node_id=node.id)
+    ids = sorted(g.nodes)
+    if ids:
+        for s, t, label in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                                   st.sampled_from(["", "yes", "Yes ", "no"])),
+                                         max_size=12)):
+            if not g.has_edge(s, t, label):
+                g.add_edge(s, t, label)
+    return g
+
+
+def _incident_labels(g: LabeledGraph, node_id: str) -> tuple[Counter, Counter]:
+    """Outgoing and incoming edge labels of a node, as normalized in edge keys."""
+    keys = [edge_key(e.source, e.target, e.label) for e in g.edges]
+    return (Counter(l for s, _, l in keys if s == node_id),
+            Counter(l for _, t, l in keys if t == node_id))
+
+
+def _unshared(a: Counter, b: Counter) -> int:
+    """Size of the multiset symmetric difference."""
+    return a.total() + b.total() - 2 * (a & b).total()
+
+
+def _degree(out: Counter, inc: Counter) -> int:
+    return out.total() + inc.total()
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate=graphs("c"), base=graphs("b"), mode=st.sampled_from(list(SimilarityMode)),
+       tau=st.sampled_from([0.0, 0.2, 0.5]))
+def test_assignment_matrix_follows_its_definition(candidate, base, mode, tau):
+    prof = profile("flowchart", similarity_mode=mode, tau=tau)
+    inst = _Instance(candidate, base, prof)
+    cand_ids, base_ids = sorted(candidate.nodes), sorted(base.nodes)
+    n, m = len(cand_ids), len(base_ids)
+    sims = similarity_rows([candidate.nodes[c] for c in cand_ids], [base.nodes[b] for b in base_ids],
+                           mode, prof.provider, prof.case_sensitive_labels, 0.0)
+    cand = [_incident_labels(candidate, c) for c in cand_ids]
+    bases = [_incident_labels(base, b) for b in base_ids]
+
+    def expected(i: int, j: int) -> float:
+        if i < n and j < m:  # substitution of candidate node i by base node j
+            if sims[i][j] < tau:
+                return 1e6
+            (out_c, in_c), (out_b, in_b) = cand[i], bases[j]
+            return (1.0 - sims[i][j]) + 0.5 * (_unshared(out_c, out_b) + _unshared(in_c, in_b))
+        if i < n:  # deletion of candidate node i
+            return 1.0 + 0.5 * _degree(*cand[i]) if j == m + i else 1e6
+        if j < m:  # insertion of base node j
+            return 1.0 + 0.5 * _degree(*bases[j]) if i == n + j else 1e6
+        return 0.0
+
+    size = n + m
+    assert list(_assignment_matrix(inst)) == [expected(i, j) for i in range(size) for j in range(size)]
 
 
 # Entries like the warm start's: small integers and halves, which tie
