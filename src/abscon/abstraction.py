@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from .domains import DomainProfile
 from .errors import AbsconError, UnknownNode
-from .graph import Edge, LabeledGraph, NodeKind, edge_key
+from .graph import LabeledGraph, NodeKind, edge_key
 from .matching import match
 from .similarity import SimilarityCache
 
@@ -24,7 +25,7 @@ class PartialElement:
         self.labels[label] += 1
 
     @property
-    def representative_label(self) -> str:
+    def label(self) -> str:
         # Most frequent label; ties resolved lexicographically.
         return min(self.labels.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
@@ -45,19 +46,9 @@ class PartialModel:
         self.nodes[elem_id] = PartialElement(1, Counter({label: 1}), kind)
         return elem_id
 
-    def view(self) -> LabeledGraph:
-        """Representative-label graph over the partial elements. Every label
-        of an edge element has the element's key, so the edges are unique by
-        construction and the graph keeps no edge-key set."""
-        g = LabeledGraph()
-        for elem_id, elem in self.nodes.items():
-            g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
-        g.edges = [Edge(src, tgt, elem.representative_label)
-                   for (src, tgt, _), elem in self.edges.items()]
-        return g
-
-    def size(self) -> int:
-        return len(self.nodes) + len(self.edges)
+    def edge_keys(self) -> KeysView[EdgeKey]:
+        """The edge keys, read-only: what match() reads of a base's edges."""
+        return self.edges.keys()
 
     def to_json(self) -> str:
         def kind_json(kind: NodeKind) -> dict:
@@ -134,14 +125,15 @@ class PartialModel:
 
 def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialModel:
     """Fold candidates into a partial model: the first seeds it, and each
-    later one is matched against the representative-label view. The folds
-    share one similarity cache, dropped when the call returns."""
+    later one is matched against the model itself, whose elements read as
+    nodes labeled by their most frequent label. The folds share one
+    similarity cache, dropped when the call returns."""
     if not candidates:
         raise ValueError("at least one candidate is required")
     model = PartialModel(n_candidates=len(candidates))
     cache = SimilarityCache()
     for i, candidate in enumerate(candidates):
-        node_map = dict(match(candidate, model.view(), profile, cache).node_map) if i else {}
+        node_map = dict(match(candidate, model, profile, cache).node_map) if i else {}
         for node_id in sorted(candidate.nodes):
             node = candidate.nodes[node_id]
             if node_id in node_map:

@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     except json.JSONDecodeError as exc:
         return _fail(f"malformed JSON: {exc}")
-    except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

@@ -215,11 +215,11 @@ def build_problem(partial: PartialModel, profile: DomainProfile) -> ConstraintPr
     problem = ConstraintProblem(profile, global_rules=("single_source", "reachable_from_source"))
     for elem_id, elem in partial.nodes.items():
         var = node_var(elem_id)
-        problem.nodes[var] = NodeVar(var, elem_id, elem.kind, elem.representative_label)
+        problem.nodes[var] = NodeVar(var, elem_id, elem.kind, elem.label)
     for key, elem in partial.edges.items():
         var = edge_var(key)
         problem.edges[var] = EdgeVar(var, node_var(key[0]), node_var(key[1]),
-                                     elem.representative_label, key[2])
+                                     elem.label, key[2])
         if key[0] == key[1]:
             problem.fixed[var] = 0  # no self-loops
     # Single source implies this row; the solver's propagation still uses it.

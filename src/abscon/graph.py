@@ -82,11 +82,11 @@ class LabeledGraph:
     treated as immutable afterwards.
 
     A graph holds at most one edge per edge_key. add_edge enforces this
-    (DuplicateEdge) and has_edge answers by it, from a key set derived from
-    `edges` when either is first called and kept up to date by add_edge from
-    then on. A graph whose edges are unique by construction, such as
-    PartialModel.view() or ConstraintProblem.induced_graph(), is given its
-    edge list whole and holds no key set unless a caller asks.
+    (DuplicateEdge) and has_edge answers by it, from the key set edge_keys()
+    derives from `edges` when first called and add_edge keeps up to date
+    from then on. A graph whose edges are unique by construction, such as
+    ConstraintProblem.induced_graph(), is given its edge list whole and
+    holds no key set unless a caller asks.
     """
 
     nodes: dict[str, Node] = field(default_factory=dict)
@@ -113,7 +113,7 @@ class LabeledGraph:
             raise UnknownNode(source)
         if target not in self.nodes:
             raise UnknownNode(target)
-        keys = self._keys()
+        keys = self.edge_keys()
         key = edge_key(source, target, label)
         if key in keys:
             raise DuplicateEdge(str(key))
@@ -121,9 +121,10 @@ class LabeledGraph:
         self.edges.append(Edge(source, target, label))
 
     def has_edge(self, source: str, target: str, label: str = "") -> bool:
-        return edge_key(source, target, label) in self._keys()
+        return edge_key(source, target, label) in self.edge_keys()
 
-    def _keys(self) -> set[tuple[str, str, str]]:
+    def edge_keys(self) -> set[tuple[str, str, str]]:
+        """The edge keys; callers other than add_edge must not change the set."""
         if self._edge_keys is None:
             self._edge_keys = {edge_key(e.source, e.target, e.label) for e in self.edges}
         return self._edge_keys

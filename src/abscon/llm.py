@@ -164,18 +164,15 @@ def sample_candidates(
     return candidates
 
 
-def load_candidates(
-    directory: str | Path, notation: Notation | None = None
-) -> tuple[list[ParsedCandidate], int]:
-    """Parse every candidate file in filename order; returns the candidates
-    and the index of the designated low-temperature candidate (a file named
-    greedy.* when present, the first file otherwise)."""
+def load_candidates(directory: str | Path, notation: Notation) -> tuple[list[ParsedCandidate], int]:
+    """Parse every candidate file of the notation in filename order; returns
+    the candidates and the index of the designated low-temperature candidate
+    (a file named greedy.* when present, the first file otherwise). A file
+    that is not UTF-8 or does not parse is dropped with a warning."""
     path = Path(directory)
     if not path.is_dir():
         raise IoError(f"not a directory: {path}")
-    files = sorted(p for p in path.iterdir() if p.suffix in EXTENSIONS)
-    if notation is not None:
-        files = [p for p in files if EXTENSIONS[p.suffix] == notation]
+    files = sorted(p for p in path.iterdir() if EXTENSIONS.get(p.suffix) == notation)
     if not files:
         raise EmptyPool(f"no candidate files in {path}")
     candidates = []
@@ -183,8 +180,8 @@ def load_candidates(
     greedy_found = False
     for p in files:
         try:
-            parsed = parse(p.read_text(encoding="utf-8"), EXTENSIONS[p.suffix])
-        except ModelSyntaxError as exc:
+            parsed = parse(p.read_text(encoding="utf-8"), notation)
+        except (ModelSyntaxError, UnicodeDecodeError) as exc:
             logger.warning("candidate %s dropped: %s", p.name, exc)
             continue
         if p.stem == "greedy" and not greedy_found:

@@ -1,4 +1,6 @@
-"""Align a candidate graph to a base graph by approximate graph edit distance.
+"""Align a candidate graph to a base, a LabeledGraph or a PartialModel, by
+approximate graph edit distance. Of the base, the matcher reads `nodes` (id
+-> anything with `kind` and `label`) and `edge_keys()`.
 
 The edit model: substituting a node costs 1 - similarity (forbidden below the
 threshold tau), inserting or deleting a node costs 1, substituting an edge is
@@ -34,6 +36,7 @@ from .graph import LabeledGraph, edge_key
 from .similarity import SimilarityCache, similarity_rows
 
 if TYPE_CHECKING:
+    from .abstraction import PartialModel
     from .domains import DomainProfile
 
 EXHAUSTIVE_LIMIT = 6  # match() falls back to exact search at or below this size
@@ -50,8 +53,8 @@ class MatchResult:
 class _Instance:
     """Precomputed cost data for one (candidate, base) pair."""
 
-    def __init__(self, candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile,
-                 cache: SimilarityCache | None = None):
+    def __init__(self, candidate: LabeledGraph, base: LabeledGraph | PartialModel,
+                 profile: DomainProfile, cache: SimilarityCache | None = None):
         self.cand_ids = sorted(candidate.nodes)
         self.base_ids = sorted(base.nodes)
         rows = similarity_rows([candidate.nodes[c] for c in self.cand_ids],
@@ -61,8 +64,8 @@ class _Instance:
         self.choices = {c: {self.base_ids[j]: 1.0 - sim for j, sim in row.items()}
                         for c, row in zip(self.cand_ids, rows)}
         self.cand_edges = [edge_key(e.source, e.target, e.label) for e in candidate.edges]
-        self.base_edge_set = {edge_key(e.source, e.target, e.label) for e in base.edges}
-        self.n_base_edges = len(base.edges)
+        self.base_edge_set = base.edge_keys()
+        self.n_base_edges = len(self.base_edge_set)
         self.incident = {c: [] for c in self.cand_ids}
         for edge in self.cand_edges:
             self.incident[edge[0]].append(edge)
@@ -108,11 +111,11 @@ class _Instance:
         return delta - 2 * gained
 
 
-def match(candidate: LabeledGraph, base: LabeledGraph, profile: DomainProfile,
+def match(candidate: LabeledGraph, base: LabeledGraph | PartialModel, profile: DomainProfile,
           cache: SimilarityCache | None = None) -> MatchResult:
     """Lowest-cost alignment found: exact up to EXHAUSTIVE_LIMIT nodes a
     side, otherwise the warm start refined to a local minimum. A function of
-    the two graphs and the profile alone; `cache` only saves recomputing
+    the candidate, base and profile alone; `cache` only saves recomputing
     label vectors and similarities across calls (a fresh one when None)."""
     inst = _Instance(candidate, base, profile, cache)
     if len(inst.cand_ids) <= EXHAUSTIVE_LIMIT and len(inst.base_ids) <= EXHAUSTIVE_LIMIT:

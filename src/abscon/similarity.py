@@ -200,26 +200,30 @@ def similarity_rows(
     cache: SimilarityCache | None = None,
 ) -> list[dict[int, float]]:
     """For each left node, {j: similarity} over the right nodes j whose
-    similarity is at least tau, in increasing j. A similarity is 0 across
-    node kinds and 1 for equal normalized labels; other pairs score 0 in
-    exact mode, else their labels' clipped cosine (0 against a zero vector)
-    from exactly rounded sums (math.fsum), so an entry depends neither on
-    the other nodes in the call nor on the cache. The vectors come from at
-    most one provider call, over the raw labels that need one and are not
-    in the cache (a fresh one when None)."""
+    similarity is at least tau, in increasing j. A node is anything with a
+    `kind` and a `label`, such as a partial element, whose label is computed
+    on each read, so each is read once. A similarity is 0 across node kinds
+    and 1 for equal normalized labels; other pairs score 0 in exact mode,
+    else their labels' clipped cosine (0 against a zero vector) from exactly
+    rounded sums (math.fsum), so an entry depends neither on the other nodes
+    in the call nor on the cache. The vectors come from at most one provider
+    call, over the raw labels that need one and are not in the cache (a
+    fresh one when None)."""
     cache = SimilarityCache() if cache is None else cache
-    left_keys = [(n.kind, normalize_label(n.label, case_sensitive)) for n in left]
-    right_keys = [(n.kind, normalize_label(n.label, case_sensitive)) for n in right]
+    # (kind, normalized label, label) per node.
+    left_keys, right_keys = [[(kind, normalize_label(label, case_sensitive), label)
+                              for kind, label in [(n.kind, n.label) for n in nodes]]
+                             for nodes in (left, right)]
     embedding = mode == SimilarityMode.EMBEDDING
     if embedding:
         # A label needs a vector when the other side has a node of its kind
         # with a different normalized label.
         texts = set()
-        for nodes, keys, others in (left, left_keys, right_keys), (right, right_keys, left_keys):
+        for keys, others in (left_keys, right_keys), (right_keys, left_keys):
             labels_of: dict[NodeKind, set[str]] = {}
-            for kind, label in others:
+            for kind, label, _ in others:
                 labels_of.setdefault(kind, set()).add(label)
-            texts.update(n.label for n, (kind, label) in zip(nodes, keys)
+            texts.update(text for kind, label, text in keys
                          if not labels_of.get(kind, set()) <= {label})
         missing = sorted(texts.difference(cache.vectors))
         if missing:
@@ -229,13 +233,13 @@ def similarity_rows(
     # exact mode only those with its normalized label: every other pair
     # scores 0, which only tau 0 allows.
     groups: dict = {}
-    for j, (node, (kind, label)) in enumerate(zip(right, right_keys)):
-        groups.setdefault(kind if embedding else (kind, label), []).append((j, label, node.label))
+    for j, (kind, label, text) in enumerate(right_keys):
+        groups.setdefault(kind if embedding else (kind, label), []).append((j, label, text))
     rows = []
-    for node, (kind, label) in zip(left, left_keys):
-        cosines = cache[node.label] if embedding else {}
-        sims = {j: 1.0 if other == label else cosines[text]
-                for j, other, text in groups.get(kind if embedding else (kind, label), ())}
+    for kind, label, text in left_keys:
+        cosines = cache[text] if embedding else {}
+        sims = {j: 1.0 if other == label else cosines[other_text]
+                for j, other, other_text in groups.get(kind if embedding else (kind, label), ())}
         rows.append({**dict.fromkeys(range(len(right)), 0.0), **sims} if tau <= 0
                     else {j: sim for j, sim in sims.items() if sim >= tau})
     return rows

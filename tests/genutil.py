@@ -382,10 +382,10 @@ def mlc(partial) -> LabeledGraph:
     g = LabeledGraph()
     for elem_id, elem in partial.nodes.items():
         if elem.count * 2 > partial.n_candidates:
-            g.add_node(elem.representative_label, elem.kind, node_id=elem_id)
+            g.add_node(elem.label, elem.kind, node_id=elem_id)
     for (src, tgt, _), elem in partial.edges.items():
         if elem.count * 2 > partial.n_candidates and src in g.nodes and tgt in g.nodes:
-            g.add_edge(src, tgt, elem.representative_label)
+            g.add_edge(src, tgt, elem.label)
     return g
 
 

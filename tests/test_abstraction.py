@@ -13,13 +13,14 @@ from abscon.constraints import build_problem, check
 from abscon.domains import profile
 from abscon.graph import ACTIVITY, LabeledGraph
 from abscon.llm import load_candidates
+from abscon.notation import Notation
 from genutil import build_graph, candidate_pool, clone, graph_signature, mlc, random_flowchart
 
 DATA = Path(__file__).parent / "data"
 
 
 def load_fig2_graphs():
-    candidates, _ = load_candidates(DATA / "fig2_pool")
+    candidates, _ = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
     return [c.graph for c in candidates]
 
 
@@ -51,7 +52,7 @@ def test_identical_candidates_all_counts_equal_n():
 def test_fig2_pool_probabilities():
     graphs = load_fig2_graphs()
     model = abstract(graphs, profile("flowchart"))
-    by_label = {elem.representative_label: elem for elem in model.nodes.values()}
+    by_label = {elem.label: elem for elem in model.nodes.values()}
     assert by_label["Update ledger"].count == 2
     for label in ("Receive order", "In stock?", "Ship order", "Reorder stock", "Notify customer"):
         assert by_label[label].count == 3, label
@@ -112,7 +113,7 @@ def test_label_histogram_and_distribution():
     (elem,) = model.nodes.values()
     assert elem.count == 3
     assert elem.labels == {"Ship order": 2, "ship order": 1}
-    assert elem.representative_label == "Ship order"
+    assert elem.label == "Ship order"
     assert elem.labels["Ship order"] / elem.count == pytest.approx(2 / 3)
     assert sum(elem.labels.values()) == elem.count
 

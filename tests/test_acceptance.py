@@ -146,10 +146,10 @@ def test_acceptance_3_checker_problem_agreement():
         models = [random_partial_model(rng, domain, max_vars=rng.choice([8, 10, 11]))
                   for _ in range(8)]
         if domain == "flowchart":
-            candidates, _ = load_candidates(DATA / "fig2_pool")
+            candidates, _ = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
             models.append(abstract([c.graph for c in candidates], prof))
         for partial in models:
-            if partial.size() > 14:
+            if len(partial.nodes) + len(partial.edges) > 14:
                 continue
             problem = build_problem(partial, prof)
             variables = sorted(problem.variables)
@@ -168,12 +168,12 @@ def test_acceptance_3_checker_problem_agreement():
 
 
 def test_acceptance_4_regression_three_candidate_pool():
-    candidates, _ = load_candidates(DATA / "fig2_pool")
+    candidates, _ = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
     graphs = [c.graph for c in candidates]
     prof = profile("flowchart")
     partial = abstract(graphs, prof)
 
-    halluc = [e for e in partial.nodes.values() if e.representative_label == "Update ledger"]
+    halluc = [e for e in partial.nodes.values() if e.label == "Update ledger"]
     ok = len(halluc) == 1 and halluc[0].count == 2
 
     final = concretize(partial, prof)

@@ -560,6 +560,21 @@ def test_bad_manifest_exits_1_with_one_error_line(tmp_path, capsys, manifest, na
     assert all(word in error for word in named)
 
 
+@pytest.mark.parametrize("argv", [
+    ["concretize", "--domain", "flowchart", "--partial", str(DATA)],
+    ["pipeline", "--config", str(DATA), "--domain", "flowchart", "--candidates",
+     str(DATA / "fig2_pool")],
+    ["exec", str(DATA / "clevr" / "program_query.clv"), str(DATA)],
+    ["evaluate", str(DATA)],
+], ids=["concretize_partial", "pipeline_config", "exec_scene", "evaluate_manifest"])
+def test_a_directory_given_as_a_file_exits_1_with_one_error_line(tmp_path, capsys, argv):
+    if argv[0] != "exec":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    _error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_exec_scene_without_a_field_exits_1_with_one_error_line(tmp_path, capsys):
     scene = json.loads((DATA / "clevr" / "scene_basic.json").read_text())
     del scene["objects"][0]["color"]

@@ -26,7 +26,7 @@ from abscon.domains import profile
 from abscon.errors import InfeasibleModel, TooLarge
 from abscon.graph import ACTIVITY, DECISION, LabeledGraph
 from abscon.llm import load_candidates
-from abscon.notation import serialize
+from abscon.notation import Notation, serialize
 from genutil import build_graph, dense_partial_model, graph_signature, random_partial_model
 
 from pathlib import Path
@@ -80,7 +80,7 @@ def test_solve_all_positive_and_feasible_selects_everything():
 
 
 def test_fig2_concretization_excludes_hallucination():
-    candidates, _ = load_candidates(DATA / "fig2_pool")
+    candidates, _ = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
     prof = profile("flowchart")
     partial = abstract([c.graph for c in candidates], prof)
     final = concretize(partial, prof)
@@ -181,13 +181,13 @@ def test_solve_partial_keeps_a_timed_out_status(n, seed, selected):
 
 def test_solve_partial_keeps_proven_statuses():
     prof = profile("flowchart")
-    candidates, _ = load_candidates(DATA / "fig2_pool")
+    candidates, _ = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
     partial = abstract([c.graph for c in candidates], prof)
     solution = solve_partial(partial, prof)
     assert solution.status == OPTIMAL and solution.nodes_explored > 0
     assert serialize(solution.graph, prof.notation) == serialize(concretize(partial, prof),
                                                                  prof.notation)
-    candidates, _ = load_candidates(DATA / "infeasible_pool")
+    candidates, _ = load_candidates(DATA / "infeasible_pool", Notation.MERMAID_FLOWCHART)
     solution = solve_partial(abstract([c.graph for c in candidates], prof), prof)
     assert (solution.status, solution.assignment, solution.graph) == (INFEASIBLE, None, None)
 

@@ -1,11 +1,10 @@
 """Edge identity is graph.edge_key wherever a graph comes from.
 
 Graphs from the parsers and hand-built graphs are grown with add_edge;
-PartialModel.view() and ConstraintProblem.induced_graph() are given their
-edge list whole and hold no edge-key set until a caller needs one. has_edge
-and DuplicateEdge must mean the same on all of them, and the output graphs
-of concretize() must not carry a key set (it was 44% of what a retained
-output graph held).
+ConstraintProblem.induced_graph() is given its edge list whole and holds no
+edge-key set until a caller needs one. has_edge and DuplicateEdge must mean
+the same on all of them, and the output graphs of concretize() must not
+carry a key set (it was 44% of what a retained output graph held).
 """
 from __future__ import annotations
 
@@ -34,15 +33,13 @@ MERMAID = """flowchart TD
 
 
 def _partial():
-    candidates, _ = load_candidates(DATA / "fig2_pool")
+    candidates, _ = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
     return abstract([c.graph for c in candidates], profile("flowchart"))
 
 
 def _graph(source: str):
     if source == "parse":
         return parse(MERMAID, Notation.MERMAID_FLOWCHART).graph
-    if source == "view":
-        return _partial().view()
     if source == "induced_graph":
         problem = build_problem(_partial(), profile("flowchart"))
         return problem.induced_graph({v: 1 for v in problem.variables})
@@ -52,7 +49,7 @@ def _graph(source: str):
     )
 
 
-SOURCES = ["parse", "view", "induced_graph", "hand_built"]
+SOURCES = ["parse", "induced_graph", "hand_built"]
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -80,7 +77,7 @@ def test_a_new_key_is_absent_then_added(source):
         g.add_edge(e.source, e.target, "a label no edge has")
 
 
-@pytest.mark.parametrize("source", ["view", "induced_graph"])
+@pytest.mark.parametrize("source", ["induced_graph"])
 def test_graphs_with_unique_edges_by_construction_hold_no_key_set(source):
     assert _graph(source)._edge_keys is None
 

@@ -140,7 +140,7 @@ def test_mv_identical_candidates_returns_same_graph():
 
 
 def test_mv_on_fig2_pool_keeps_hallucination_and_fails_check():
-    candidates, _ = load_candidates(DATA / "fig2_pool")
+    candidates, _ = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
     prof = profile("flowchart")
     out = run_method("mv", [c.graph for c in candidates], prof)
     labels = {n.label for n in out.nodes.values()}

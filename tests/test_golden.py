@@ -16,6 +16,7 @@ import pytest
 from abscon.abstraction import abstract
 from abscon.domains import profile
 from abscon.llm import load_candidates
+from abscon.notation import Notation
 from abscon.similarity import SimilarityMode
 from genutil import candidate_pool, random_clevr_program, random_flowchart, random_taxonomy_tree
 
@@ -28,7 +29,8 @@ def _pool(source: str):
     independent flowcharts, so that embedding similarity alone decides."""
     origin, name = source.split("/", 1)
     if origin == "fixture":
-        candidates, _ = load_candidates(DATA / name)
+        notation = Notation.CLEVR_PROGRAM if name.startswith("clevr/") else Notation.MERMAID_FLOWCHART
+        candidates, _ = load_candidates(DATA / name, notation)
         return [c.graph for c in candidates]
     rng = random.Random(f"golden/{name}")
     if name == "flowchart":

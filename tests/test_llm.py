@@ -138,7 +138,7 @@ def test_load_candidates_order_and_greedy(tmp_path):
     (tmp_path / "b.mmd").write_text("flowchart TD\nB[b]\n")
     (tmp_path / "a.mmd").write_text("flowchart TD\nA[a]\n")
     (tmp_path / "greedy.mmd").write_text("flowchart TD\nG[g]\n")
-    candidates, greedy_index = load_candidates(tmp_path)
+    candidates, greedy_index = load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
     labels = [next(iter(c.graph.nodes.values())).label for c in candidates]
     assert labels == ["a", "b", "g"]
     assert greedy_index == 2
@@ -147,23 +147,37 @@ def test_load_candidates_order_and_greedy(tmp_path):
 def test_load_candidates_skips_unparsable(tmp_path):
     (tmp_path / "a.mmd").write_text("flowchart TD\nA[a]\n")
     (tmp_path / "broken.mmd").write_text("not mermaid at all")
-    candidates, _ = load_candidates(tmp_path)
+    candidates, _ = load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
     assert len(candidates) == 1
+
+
+def test_load_candidates_drops_a_file_that_is_not_utf8(tmp_path, caplog):
+    (tmp_path / "a.mmd").write_text("flowchart TD\nA[a]\n")
+    (tmp_path / "zz.mmd").write_bytes(b"flowchart TD\nA[\xff\xfe] --> B")
+    candidates, _ = load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
+    assert [c.source_text for c in candidates] == ["flowchart TD\nA[a]\n"]
+    assert "candidate zz.mmd dropped: 'utf-8' codec can't decode" in caplog.text
+
+
+def test_load_candidates_with_no_utf8_file_is_an_empty_pool(tmp_path):
+    (tmp_path / "zz.mmd").write_bytes(b"flowchart TD\nA[\xff\xfe] --> B")
+    with pytest.raises(EmptyPool):
+        load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
 
 
 def test_load_candidates_empty_dir(tmp_path):
     with pytest.raises(EmptyPool):
-        load_candidates(tmp_path)
+        load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
 
 
 def test_load_candidates_missing_dir(tmp_path):
     with pytest.raises(IoError):
-        load_candidates(tmp_path / "nope")
+        load_candidates(tmp_path / "nope", Notation.MERMAID_FLOWCHART)
 
 
 def test_replay_reproduces_pool(tmp_path):
     (tmp_path / "a.mmd").write_text("flowchart TD\nA[a] --> B[b]\n")
     (tmp_path / "b.mmd").write_text("flowchart TD\nA[a] --> C[c]\n")
-    first, _ = load_candidates(tmp_path)
-    second, _ = load_candidates(tmp_path)
+    first, _ = load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
+    second, _ = load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
     assert [c.source_text for c in first] == [c.source_text for c in second]

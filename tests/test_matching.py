@@ -9,19 +9,23 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscon.abstraction import abstract
 from abscon.domains import profile
 from abscon.errors import TooLarge
-from abscon.graph import ACTIVITY, DECISION, LabeledGraph
+from abscon.graph import ACTIVITY, DECISION, Edge, LabeledGraph
 from abscon.matching import (
     EXHAUSTIVE_LIMIT,
     _assignment_start,
     _Instance,
     match,
 )
-from abscon.similarity import similarity_rows
-from genutil import build_graph, exhaustive_match, random_mermaid_graph
+from abscon.similarity import SimilarityMode, similarity_rows
+from genutil import (build_graph, candidate_pool, exhaustive_match, random_clevr_graph,
+                     random_clevr_program, random_flowchart, random_mermaid_graph,
+                     random_taxonomy_tree)
 
 FLOWCHART = profile("flowchart")
 
@@ -130,7 +134,7 @@ def test_alignment_does_not_read_the_clock(monkeypatch):
     a = random_mermaid_graph(rng, max_nodes=10)
     b = random_mermaid_graph(rng, max_nodes=10)
     assert max(len(a.nodes), len(b.nodes)) > EXHAUSTIVE_LIMIT
-    for base in (b, abstract([b], FLOWCHART).view()):
+    for base in (b, abstract([b], FLOWCHART)):
         inst = _Instance(a, base, FLOWCHART)
         assert match(a, base, FLOWCHART).total_cost < inst.mapping_cost(_assignment_start(inst))
     result, partial = match(a, b, FLOWCHART), abstract([b, a], FLOWCHART).to_json()
@@ -140,6 +144,55 @@ def test_alignment_does_not_read_the_clock(monkeypatch):
         raced, raced_partial = match(a, b, FLOWCHART), abstract([b, a], FLOWCHART).to_json()
     assert (raced.node_map, raced.total_cost) == (result.node_map, result.total_cost)
     assert raced_partial == partial
+
+
+def _representative_graph(model) -> LabeledGraph:
+    """The model's representative-label graph: each element under its most
+    frequent label, the edge list given whole (unique by construction)."""
+    g = LabeledGraph()
+    for elem_id, elem in model.nodes.items():
+        g.add_node(elem.label, elem.kind, node_id=elem_id)
+    g.edges = [Edge(src, tgt, elem.label) for (src, tgt, _), elem in model.edges.items()]
+    return g
+
+
+def _pool(rng: random.Random, shape: str, n: int) -> tuple[str, list[LabeledGraph]]:
+    """A seeded pool of about n nodes a graph. "unrelated" pools are
+    independent flowcharts; "loops" pools are random graphs with self-loops."""
+    if shape == "flowchart":
+        return shape, candidate_pool(rng, random_flowchart(rng, n), shape, size=4)
+    if shape == "taxonomy":
+        return shape, candidate_pool(rng, random_taxonomy_tree(rng, n), shape, size=4)
+    if shape == "clevr":
+        truth = random_clevr_program(rng) if n < 10 else random_clevr_graph(rng, n)
+        return shape, candidate_pool(rng, truth, shape, size=4)
+    if shape == "unrelated":
+        return "flowchart", [random_flowchart(rng, rng.randint(max(2, n // 2), n)) for _ in range(4)]
+    return "flowchart", [random_mermaid_graph(rng, n) for _ in range(4)]
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.sampled_from(["flowchart", "taxonomy", "clevr", "unrelated", "loops"]),
+    # Up to EXHAUSTIVE_LIMIT nodes a side, then either side of SMALL_LIMIT
+    # nodes in an alignment.
+    n=st.sampled_from([3, 5, 12, 40]),
+    mode=st.sampled_from(list(SimilarityMode)),
+    tau=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+)
+def test_the_model_aligns_as_its_representative_label_graph(seed, shape, n, mode, tau):
+    """match() against the partial model reads each element as a node with
+    its most frequent label and the model's edge keys, so at every fold it
+    aligns the candidate exactly as against that graph."""
+    domain, pool = _pool(random.Random(f"model-base/{seed}/{shape}/{n}"), shape, n)
+    prof = profile(domain, similarity_mode=mode, tau=tau)
+    for i in range(1, len(pool)):
+        model = abstract(pool[:i], prof)
+        result = match(pool[i], model, prof)
+        expected = match(pool[i], _representative_graph(model), prof)
+        assert result.node_map == expected.node_map
+        assert result.total_cost == expected.total_cost
 
 
 def test_warm_start_loads_only_the_assignment_extension():

@@ -83,7 +83,7 @@ def _pairs(seed: int, shape: str, n: int):
     else:
         pool = [random_mermaid_graph(rng, n) for _ in range(4)]
     domain = "taxonomy" if shape == "taxonomy" else "flowchart"
-    merged = abstract(pool[:-1], profile(domain)).view()
+    merged = abstract(pool[:-1], profile(domain))
     return domain, [(pool[1], pool[0]), (pool[-1], merged)]
 
 

@@ -40,7 +40,7 @@ def _partials(source: str):
                 for _ in range(30)]
     if origin == "fixture":
         domain = "clevr" if name.startswith("clevr") else "flowchart"
-        candidates, _ = load_candidates(DATA / name)
+        candidates, _ = load_candidates(DATA / name, profile(domain).notation)
         return [abstract([c.graph for c in candidates], profile(domain))]
     return [_large_partial_model()]
 
