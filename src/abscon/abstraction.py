@@ -1,5 +1,5 @@
 """Incrementally merge matched candidate graphs into a probabilistic partial
-model: per-element occurrence counts plus label histograms."""
+model: a label histogram per element, whose total is its occurrence count."""
 from __future__ import annotations
 
 import json
@@ -16,12 +16,15 @@ from .similarity import SimilarityCache
 
 @dataclass(slots=True)
 class PartialElement:
-    count: int
     labels: Counter = field(default_factory=Counter)
     kind: NodeKind | None = None  # nodes only
 
+    @property
+    def count(self) -> int:
+        """The number of candidates that contain the element: each adds one label."""
+        return self.labels.total()
+
     def add(self, label: str) -> None:
-        self.count += 1
         self.labels[label] += 1
 
     @property
@@ -38,13 +41,15 @@ class PartialModel:
     nodes: dict[str, PartialElement] = field(default_factory=dict)
     edges: dict[EdgeKey, PartialElement] = field(default_factory=dict)
     n_candidates: int = 0
-    _next_id: int = 0
 
     def new_node(self, label: str, kind: NodeKind) -> str:
-        elem_id = f"p{self._next_id}"
-        self._next_id += 1
-        self.nodes[elem_id] = PartialElement(1, Counter({label: 1}), kind)
-        return elem_id
+        """Add a node seen once, as the first free p<k> from k = the node count,
+        so ids run in sequence under abstract() and never repeat a loaded one."""
+        k = len(self.nodes)
+        while f"p{k}" in self.nodes:
+            k += 1
+        self.nodes[f"p{k}"] = PartialElement(Counter({label: 1}), kind)
+        return f"p{k}"
 
     def edge_keys(self) -> KeysView[EdgeKey]:
         """The edge keys, read-only: what match() reads of a base's edges."""
@@ -80,16 +85,19 @@ class PartialModel:
         summed, which is exact: a candidate contributes to at most one of
         them. A dangling edge endpoint raises UnknownNode; a missing field,
         an n_candidates, count or label count that is not a positive int (a
-        bool is not one), a duplicate node id, an edge row whose labels are
-        not all one edge key's, or an element whose label histogram is
-        empty, or whose count is not the histogram's total or lies outside
-        1..n_candidates, raises AbsconError."""
+        bool is not one), a row whose count is not its label total, a
+        duplicate node id, an edge row whose labels are not all one edge
+        key's, or an element whose count exceeds n_candidates raises
+        AbsconError."""
         data = json.loads(text)
         try:
             model = cls(n_candidates=data["n_candidates"])
             counts = [model.n_candidates]
             for row in [*data["nodes"], *data["edges"]]:
                 counts += [row["count"], *row["labels"].values()]
+                if row["count"] != sum(row["labels"].values()):
+                    raise AbsconError(f"partial model: a row's count {row['count']!r} is not"
+                                      f" the total of its labels {row['labels']}")
             for k in counts:
                 if type(k) is not int or k < 1:  # rejects bools, a subclass of int
                     raise AbsconError(f"partial model: count {k!r} is not a positive integer")
@@ -98,8 +106,7 @@ class PartialModel:
                     raise AbsconError(f"partial model: bad or duplicate node id {row['id']!r}")
                 kind = row["kind"]
                 model.nodes[row["id"]] = PartialElement(
-                    row["count"], Counter(row["labels"]),
-                    NodeKind(kind["kind"], kind.get("op"), kind.get("param")))
+                    Counter(row["labels"]), NodeKind(kind["kind"], kind.get("op"), kind.get("param")))
             for row in data["edges"]:
                 for end in (row["source"], row["target"]):
                     if end not in model.nodes:
@@ -108,18 +115,13 @@ class PartialModel:
                 if any(edge_key(row["source"], row["target"], l) != key for l in row["labels"]):
                     raise AbsconError(f"partial model: edge {key[0]!r} -> {key[1]!r} has labels of"
                                       f" different edges: {sorted(row['labels'])}")
-                elem = model.edges.setdefault(key, PartialElement(0))
-                elem.count += row["count"]
-                elem.labels.update(row["labels"])
+                model.edges.setdefault(key, PartialElement()).labels.update(row["labels"])
             for name, elem in [*model.nodes.items(), *model.edges.items()]:
-                total = sum(elem.labels.values())
-                if not elem.labels or elem.count != total or not 1 <= total <= model.n_candidates:
-                    raise AbsconError(f"partial model: element {name!r} has count {elem.count} and"
-                                      f" {total} labels in {model.n_candidates} candidates")
+                if elem.count > model.n_candidates:
+                    raise AbsconError(f"partial model: element {name!r} has count {elem.count}"
+                                      f" in {model.n_candidates} candidates")
         except (AttributeError, KeyError, TypeError) as exc:
             raise AbsconError(f"partial model: missing or malformed field {exc}") from None
-        ids = [int(i[1:]) for i in model.nodes if i.startswith("p") and i[1:].isdigit()]
-        model._next_id = max(ids, default=-1) + 1
         return model
 
 
@@ -145,5 +147,5 @@ def abstract(candidates: list[LabeledGraph], profile: DomainProfile) -> PartialM
             if key in model.edges:
                 model.edges[key].add(edge.label)
             else:
-                model.edges[key] = PartialElement(1, Counter({edge.label: 1}))
+                model.edges[key] = PartialElement(Counter({edge.label: 1}))
     return model

@@ -162,12 +162,12 @@ class _Solver:
             self.incident[t].append(e)
             self.in_edges[t].append(e)
             self.out_adj[s].append((e, t))
-        self.n_in = [len(es) for es in self.in_edges]
+        n_in = [len(es) for es in self.in_edges]
         self.n_out = [len(es) for es in self.out_adj]
 
         # What the problem states about each node: its degree limits.
         nodes = list(problem.nodes.values())
-        self.cap_in = [c if nv.max_in is None else min(c, nv.max_in) for c, nv in zip(self.n_in, nodes)]
+        self.cap_in = [c if nv.max_in is None else min(c, nv.max_in) for c, nv in zip(n_in, nodes)]
         self.min_out = [nv.min_out for nv in nodes]
         min_in = [nv.min_in for nv in nodes]
 
@@ -212,7 +212,6 @@ class _Solver:
         self.selected = 0
         self.potential = 0
         self.in1 = [0] * n
-        self.in0 = [0] * n
         self.out1 = [0] * n
         self.out0 = [0] * n
         self.term = [0.0] * n
@@ -220,8 +219,7 @@ class _Solver:
         self.root_tie = [1] * n
         self.waiver = [-math.inf] * n
         self.must_root: set[int] = set()
-        self.flags = [(False, False, False, False)] * n
-        self.n_dsrc = 0
+        self.flags = [(False, False, False)] * n
         self.n_psink = 0
         self.n_dsink = 0
         self.dirty = set(range(n))
@@ -280,7 +278,6 @@ class _Solver:
             if d > 0 and self.acyclic:  # only the acyclic check reads them
                 self.new_ones.append(vi)
         else:
-            self.in0[t] += d
             self.out0[s] += d
             self.pair_live[k] -= d
             if self.pair_live[k]:
@@ -347,21 +344,19 @@ class _Solver:
         val = values[p]
         in1 = self.in1[p]
         sel = val == 1
-        dsrc = sel and self.in0[p] == self.n_in[p]
         if self.single_sink:
             psink = val != 0 and self.out1[p] == 0
             dsink = sel and self.out0[p] == self.n_out[p]
         else:
             psink = dsink = False
-        flags = (val != 0 and in1 == 0, dsrc, psink, dsink)
+        flags = (val != 0 and in1 == 0, psink, dsink)
         old = self.flags[p]
         if flags != old:
             self.flags[p] = flags
             if flags[0] != old[0]:
                 self.potential ^= 1 << p
-            self.n_dsrc += dsrc - old[1]
-            self.n_psink += psink - old[2]
-            self.n_dsink += dsink - old[3]
+            self.n_psink += psink - old[1]
+            self.n_dsink += dsink - old[2]
 
         if val == 0:
             self.term[p], self.tie[p], self.waiver[p] = 0.0, 0, -math.inf
@@ -421,9 +416,8 @@ class _Solver:
 
     def tie_count(self) -> int:
         """Upper bound on the element count of any completion whose
-        objective reaches bound() (to within the pruning tolerance)."""
-        if self.dirty:
-            self._flush()
+        objective reaches bound() (to within the pruning tolerance). Call
+        after bound(), which brings the per-node terms up to date."""
         tie = sum(self.tie)
         if self.must_root:
             return tie + max(self.root_tie[p] for p in self.must_root)
@@ -444,9 +438,9 @@ class _Solver:
                 if self._reaches(self.ends[e][1], self.ends[e][0]):
                     return True
             self.new_ones.clear()
-        # Two selected nodes without any possible in-edge, or selected nodes
-        # but none that can still be a source.
-        if self.n_dsrc > 1 or (self.selected and not self.potential):
+        # Two selected nodes that can only be the root; a selection with no
+        # potential source at all fails the reachability test below.
+        if len(self.must_root) > 1:
             return True
         if self.selected and not self._all_reachable():
             return True
@@ -492,10 +486,10 @@ class _Solver:
     # -- search
 
     def search(self) -> None:
+        # Each fixed variable is assigned once, before propagation: none can fail.
         queue: list[int] = []
         for var, value in self.problem.fixed.items():
-            if not self.assign(self.index[var], value, queue):
-                return
+            self.assign(self.index[var], value, queue)
         if not self.propagate(queue):
             return
         if self.structural_conflict():

@@ -40,7 +40,6 @@ class LinearConstraint:
 
 @dataclass
 class NodeVar:
-    var: str
     elem_id: str
     kind: NodeKind
     label: str  # representative label
@@ -53,7 +52,6 @@ class NodeVar:
 
 @dataclass
 class EdgeVar:
-    var: str
     source: str  # node variable id
     target: str
     label: str  # representative label
@@ -214,12 +212,10 @@ def build_problem(partial: PartialModel, profile: DomainProfile) -> ConstraintPr
     # One source, from which every node is reachable.
     problem = ConstraintProblem(profile, global_rules=("single_source", "reachable_from_source"))
     for elem_id, elem in partial.nodes.items():
-        var = node_var(elem_id)
-        problem.nodes[var] = NodeVar(var, elem_id, elem.kind, elem.label)
+        problem.nodes[node_var(elem_id)] = NodeVar(elem_id, elem.kind, elem.label)
     for key, elem in partial.edges.items():
         var = edge_var(key)
-        problem.edges[var] = EdgeVar(var, node_var(key[0]), node_var(key[1]),
-                                     elem.label, key[2])
+        problem.edges[var] = EdgeVar(node_var(key[0]), node_var(key[1]), elem.label, key[2])
         if key[0] == key[1]:
             problem.fixed[var] = 0  # no self-loops
     # Single source implies this row; the solver's propagation still uses it.
@@ -328,8 +324,11 @@ class Violation:
 
 @dataclass
 class ConsistencyReport:
-    consistent: bool
     violations: list[Violation]
+
+    @property
+    def consistent(self) -> bool:
+        return not self.violations
 
     def to_json(self) -> str:
         data = {
@@ -349,7 +348,7 @@ def check(graph: LabeledGraph, profile: DomainProfile) -> ConsistencyReport:
         violations = _check_clevr(graph)
     else:
         raise UnknownDomain(profile.name)
-    return ConsistencyReport(not violations, violations)
+    return ConsistencyReport(violations)
 
 
 def _structure(graph: LabeledGraph):

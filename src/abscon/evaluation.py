@@ -41,8 +41,9 @@ def relation_triples(graph: LabeledGraph, case_sensitive: bool = False) -> set[R
 
 
 def _tokenize(text: str) -> list[str]:
-    """Lowercase word-and-punctuation split."""
-    return re.findall(r"\w+|[^\w\s]", text.lower())
+    """Word-and-punctuation split. It keeps case: relation_triples has
+    already normalized the labels by the profile's rule."""
+    return re.findall(r"\w+|[^\w\s]", text)
 
 
 def token_overlap(e1: RelationTriple, e2: RelationTriple) -> float:

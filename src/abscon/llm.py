@@ -168,11 +168,12 @@ def load_candidates(directory: str | Path, notation: Notation) -> tuple[list[Par
     """Parse every candidate file of the notation in filename order; returns
     the candidates and the index of the designated low-temperature candidate
     (a file named greedy.* when present, the first file otherwise). A file
-    that is not UTF-8 or does not parse is dropped with a warning."""
+    that is not UTF-8 or does not parse is dropped with a warning; anything
+    that is not a regular file is ignored, whatever its extension."""
     path = Path(directory)
     if not path.is_dir():
         raise IoError(f"not a directory: {path}")
-    files = sorted(p for p in path.iterdir() if EXTENSIONS.get(p.suffix) == notation)
+    files = sorted(p for p in path.iterdir() if EXTENSIONS.get(p.suffix) == notation and p.is_file())
     if not files:
         raise EmptyPool(f"no candidate files in {path}")
     candidates = []

@@ -300,8 +300,7 @@ def random_partial_model(rng: random.Random, domain: str, max_vars: int = 14):
             kind = _random_op_kind(rng, name)
             label = render_clevr_op(kind)
         elem_id = model.new_node(label, kind)
-        model.nodes[elem_id].count = rng.randint(1, n_candidates)
-        model.nodes[elem_id].labels = Counter({label: model.nodes[elem_id].count})
+        model.nodes[elem_id].labels = Counter({label: rng.randint(1, n_candidates)})
         node_ids.append(elem_id)
 
     budget = max_vars - n_nodes
@@ -318,8 +317,7 @@ def random_partial_model(rng: random.Random, domain: str, max_vars: int = 14):
         key = (src, tgt, normalize_label(label))
         if key in model.edges:
             continue
-        count = rng.randint(1, n_candidates)
-        model.edges[key] = PartialElement(count, Counter({label: count}))
+        model.edges[key] = PartialElement(Counter({label: rng.randint(1, n_candidates)}))
         budget -= 1
     return model
 
@@ -364,11 +362,9 @@ def dense_partial_model(rng: random.Random, domain: str, n: int):
         edges = {(elem_of[src], elem_of[tgt], norm): label
                  for (src, tgt, norm), label in edges.items()}
     for elem in model.nodes.values():
-        elem.count = rng.randint(1, 5)
-        elem.labels = Counter({next(iter(elem.labels)): elem.count})
+        elem.labels = Counter({next(iter(elem.labels)): rng.randint(1, 5)})
     for key, label in sorted(edges.items()):
-        count = rng.randint(1, 5)
-        model.edges[key] = PartialElement(count, Counter({label: count}))
+        model.edges[key] = PartialElement(Counter({label: rng.randint(1, 5)}))
     return model
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -129,6 +130,14 @@ def test_json_round_trip():
     assert set(back.edges) == set(model.edges)
     for key, elem in model.edges.items():
         assert back.edges[key].labels == elem.labels
+
+
+def test_new_node_takes_the_first_free_id():
+    text = json.dumps({"n_candidates": 1, "edges": [], "nodes": [
+        {"id": i, "kind": {"kind": "activity"}, "count": 1, "labels": {i: 1}} for i in ("p0", "p2")]})
+    model = PartialModel.from_json(text)
+    assert [model.new_node("x", ACTIVITY) for _ in range(2)] == ["p3", "p4"]
+    assert model.nodes["p3"].count == 1
 
 
 def _recased(rng: random.Random, g: LabeledGraph) -> LabeledGraph:

@@ -416,7 +416,6 @@ def _large_partial_model():
     partial = abstract([backbone], prof)
     partial.n_candidates = 3
     for elem in list(partial.nodes.values()) + list(partial.edges.values()):
-        elem.count = 3
         for label in elem.labels:
             elem.labels[label] = 3
     from collections import Counter
@@ -426,10 +425,9 @@ def _large_partial_model():
     node_ids = sorted(partial.nodes)
     for i in range(5):  # dangling majority hallucinations
         nid = partial.new_node(f"ghost work {i}", ACTIVITY)
-        partial.nodes[nid].count = 2
         partial.nodes[nid].labels = Counter({f"ghost work {i}": 2})
         target = node_ids[-(i + 1)]
-        partial.edges[(nid, target, "")] = PartialElement(2, Counter({"": 2}))
+        partial.edges[(nid, target, "")] = PartialElement(Counter({"": 2}))
     while len(partial.edges) < 80:  # minority edge noise
         src, tgt = rng.sample(node_ids, 2)
         if partial.nodes[src].kind is not ACTIVITY:
@@ -437,7 +435,7 @@ def _large_partial_model():
         key = (src, tgt, "")
         if key in partial.edges:
             continue
-        partial.edges[key] = PartialElement(1, Counter({"": 1}))
+        partial.edges[key] = PartialElement(Counter({"": 1}))
     return partial
 
 

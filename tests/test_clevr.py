@@ -109,6 +109,28 @@ def test_execute_relate():
     assert execute(program(text), BASIC) == Count(2)
 
 
+def test_execute_relate_unknown_relation():
+    text = "n0: scene()\nn1: filter_shape[cube](n0)\nn2: unique(n1)\nn3: relate[above](n2)\nn4: count(n3)"
+    assert execute(program(text), BASIC) == ExecError("unknown_relation")
+
+
+def test_execute_commutative_op_takes_unlabeled_arguments():
+    def counts_equal(label_a, label_b):
+        g = LabeledGraph()
+        s = g.add_node("", clevr_op("scene"))
+        red = g.add_node("", clevr_op("filter_color", "red"))
+        small = g.add_node("", clevr_op("filter_size", "small"))
+        c1, c2 = g.add_node("", clevr_op("count")), g.add_node("", clevr_op("count"))
+        eq = g.add_node("", clevr_op("equal_integer"))
+        for a, b in [(s, red), (s, small), (red, c1), (small, c2)]:
+            g.add_edge(a, b, "0")
+        g.add_edge(c1, eq, label_a)
+        g.add_edge(c2, eq, label_b)
+        return execute(g, BASIC)
+
+    assert counts_equal("", "") == counts_equal("0", "1") == Truth(True)
+
+
 def test_execute_binary_ops():
     text = (
         "a: scene()\nb: filter_color[red](a)\nc: count(b)\n"
@@ -194,6 +216,26 @@ def test_scene_validation():
             [SceneObject(0, "red", "cube", "small", "rubber")],
             {"left": [[0]], "right": [[]], "front": [[]], "behind": [[]]},
         )
+
+
+def _relations(**lists):
+    """The relations of a two-object scene with nothing related, then lists."""
+    return {**{name: [[], []] for name in ("left", "right", "front", "behind")}, **lists}
+
+
+TWO = [SceneObject(0, "red", "cube", "small", "rubber"),
+       SceneObject(1, "blue", "sphere", "large", "metal")]
+
+
+@pytest.mark.parametrize("objects, relations, named", [
+    (TWO[::-1], _relations(), "object ids"),
+    (TWO, _relations(left=[[]]), "one list per object"),
+    (TWO, _relations(left=[[2], []]), "unknown object"),
+    (TWO, _relations(left=[[1], []]), "not mutually inverse"),
+], ids=["ids_out_of_order", "list_missing", "unknown_object", "not_inverse"])
+def test_scene_rule_raises(objects, relations, named):
+    with pytest.raises(ValueError, match=named):
+        Scene(objects, relations)
 
 
 def test_consistent_programs_only_fail_semantically():

@@ -183,6 +183,9 @@ BAD_PARTIALS = {
     "empty_labels": lambda d: d["nodes"][2].update(labels={}),
     "duplicate_node_id": lambda d: d["nodes"][3].update(id="p2"),
     "count_not_label_total": lambda d: d["nodes"][0].update(count=2),
+    # The two "yes" rows of one edge key swap counts: their sums still agree.
+    "row_count_not_its_label_total": lambda d: (d["edges"][1].update(count=1),
+                                                d["edges"][2].update(count=2)),
     "count_above_n_candidates": lambda d: d["edges"][3].update(count=4, labels={"no": 4}),
     "labels_of_two_edges": lambda d: d["edges"][3].update(labels={"no": 2, "yes": 1}),
     "negative_label_count": lambda d: d["nodes"][0].update(labels={"zz bogus": -1, "Receive order": 4}),
@@ -303,6 +306,42 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["pipeline", "--config", str(config),
                  "--candidates", str(DATA / "fig2_pool"), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["domain"] == "flowchart"
+
+
+def test_tau_flag_acts_like_the_config_key(tmp_path):
+    # Whether "Ship order" and "Ship the order" are one node depends on tau.
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "a.mmd").write_text("flowchart TD\nA[Receive order] --> B[Ship order]\n")
+    (pool / "b.mmd").write_text("flowchart TD\nA[Receive order] --> B[Ship the order]\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"domain": "flowchart", "tau": 0.9}))
+    partials = {}
+    for name, flags in [("default", ["--domain", "flowchart"]),
+                        ("config", ["--config", str(config)]),
+                        ("flag", ["--domain", "flowchart", "--tau", "0.9"])]:
+        out = tmp_path / name
+        assert main(["pipeline", *flags, "--candidates", str(pool), "--out", str(out)]) == 0
+        partials[name] = (out / "partial.json").read_bytes()
+    assert partials["flag"] == partials["config"] != partials["default"]
+
+
+def test_config_that_is_not_json_exits_1_with_one_error_line(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text("{not json")
+    assert main(["pipeline", "--config", str(config), "--domain", "flowchart",
+                 "--candidates", str(DATA / "fig2_pool"), "--out", str(tmp_path / "run")]) == 1
+    assert _error_line(capsys).startswith("malformed JSON: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_with_an_unknown_domain_exits_1_with_one_error_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"domain": "uml", "samples": [
+        {"id": "s1", "candidates": str(DATA / "fig2_pool")}]}))
+    assert main(["evaluate", str(manifest), "--out", str(tmp_path / "eval")]) == 1
+    assert _error_line(capsys) == "unknown or missing domain 'uml'"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_clevr_manifest(tmp_path):
@@ -607,12 +646,14 @@ def test_evaluate_reference_in_another_notation_exits_1_with_one_error_line(tmp_
 
 
 @pytest.mark.parametrize("sampling", [
+    {"model": "m"},
     {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "bogus": 1},
     {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "n_candidates": "3"},
     {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "temperature": True},
     {"endpoint": 7, "model": "m"},
     ["http://127.0.0.1:9/v1", "m"],
-], ids=["unknown_key", "count_text", "temperature_bool", "endpoint_number", "list"])
+], ids=["no_endpoint", "unknown_key", "count_text", "temperature_bool", "endpoint_number",
+        "list"])
 def test_bad_sampling_config_exits_1_with_one_error_line(tmp_path, capsys, sampling):
     """Checked before any request is made: the endpoint is never contacted."""
     path = tmp_path / "cfg.json"

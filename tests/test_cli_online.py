@@ -25,6 +25,9 @@ Hope this helps."""
 
 
 class _Handler(BaseHTTPRequestHandler):
+    temperatures: list[float] = []  # of every chat request, in arrival order
+    lock = threading.Lock()
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length)) if length else {}
@@ -42,6 +45,8 @@ class _Handler(BaseHTTPRequestHandler):
                 vectors.append((vec / n if n else vec).tolist())
             body = json.dumps({"vectors": vectors}).encode()
         else:  # chat completions
+            with _Handler.lock:
+                _Handler.temperatures.append(payload["temperature"])
             body = json.dumps(
                 {"choices": [{"message": {"role": "assistant", "content": FLOWCHART_ANSWER}}]}
             ).encode()
@@ -59,6 +64,7 @@ def server():
     srv = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
+    _Handler.temperatures = []
     yield f"http://127.0.0.1:{srv.server_address[1]}"
     srv.shutdown()
     srv.server_close()
@@ -97,6 +103,24 @@ def test_generate_command(server, tmp_path):
     }))
     out = tmp_path / "gen"
     assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    names = sorted(p.name for p in (out / "candidates").iterdir())
+    assert names == ["greedy.mmd", "sample_00.mmd", "sample_01.mmd"]
+
+
+def test_generate_flags_override_the_sampling_config(server, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "domain": "flowchart",
+        "description": "an order handling process",
+        "sampling": {"endpoint": f"{server}/v1/chat/completions", "model": "stub",
+                     "n_candidates": 5, "temperature": 0.9, "greedy_temperature": 0.05,
+                     "max_retries": 0},
+    }))
+    out = tmp_path / "gen"
+    assert main(["generate", "--config", str(config), "--out", str(out),
+                 "--n", "2", "--temperature", "0.3"]) == 0
+    # The greedy request comes first, at greedy_temperature; then the samples.
+    assert _Handler.temperatures == [0.05, 0.3, 0.3]
     names = sorted(p.name for p in (out / "candidates").iterdir())
     assert names == ["greedy.mmd", "sample_00.mmd", "sample_01.mmd"]
 

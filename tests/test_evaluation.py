@@ -17,6 +17,7 @@ from abscon.evaluation import (
     majority_vote,
     relation_triples,
     run_method,
+    similarity_for,
     soft_cardinality,
     soft_prf,
     soft_prf_triples,
@@ -128,7 +129,18 @@ def test_token_overlap():
 
 
 def test_default_tokenizer():
-    assert _tokenize("Check stock, now!") == ["check", "stock", ",", "now", "!"]
+    assert _tokenize("Check stock, now!") == ["Check", "stock", ",", "now", "!"]
+
+
+@pytest.mark.parametrize("case_sensitive", [False, True])
+def test_flowchart_soft_f1_follows_the_profile_label_rule(case_sensitive):
+    # Taxonomies score exact triples; flowcharts score token overlap, which
+    # must not fold case again when the profile keeps it.
+    prof = profile("flowchart", case_sensitive_labels=case_sensitive)
+    upper = parse("flowchart TD\nA[Ship Order] --> B[Notify Customer]\n", prof.notation).graph
+    lower = parse("flowchart TD\nA[ship order] --> B[notify customer]\n", prof.notation).graph
+    f1 = soft_prf(upper, lower, similarity_for(prof), prof.case_sensitive_labels)[2]
+    assert f1 < 1.0 if case_sensitive else f1 == 1.0
 
 
 def test_mv_identical_candidates_returns_same_graph():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from abscon.cli import main
 from abscon.errors import EmptyPool, EndpointError, IoError
 from abscon.llm import PromptBundle, SamplingConfig, build_bundle, load_candidates, sample_candidates
 from abscon.notation import Notation
@@ -168,6 +170,39 @@ def test_load_candidates_with_no_utf8_file_is_an_empty_pool(tmp_path):
 def test_load_candidates_empty_dir(tmp_path):
     with pytest.raises(EmptyPool):
         load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
+
+
+def _fig2_with_a_directory(tmp_path) -> Path:
+    pool = tmp_path / "pool"
+    shutil.copytree(DATA / "fig2_pool", pool)
+    (pool / "zz.mmd").mkdir()
+    return pool
+
+
+def test_load_candidates_ignores_a_directory_with_a_candidate_extension(tmp_path):
+    got = load_candidates(_fig2_with_a_directory(tmp_path), Notation.MERMAID_FLOWCHART)
+    want = load_candidates(DATA / "fig2_pool", Notation.MERMAID_FLOWCHART)
+    assert ([c.source_text for c in got[0]], got[1]) == ([c.source_text for c in want[0]], want[1])
+
+
+def test_pipeline_ignores_a_directory_in_its_pool(tmp_path):
+    outputs = []
+    for name, pool in [("a", _fig2_with_a_directory(tmp_path)), ("b", DATA / "fig2_pool")]:
+        out = tmp_path / name
+        assert main(["pipeline", "--domain", "flowchart", "--candidates", str(pool),
+                     "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("partial.json", "final.mmd")])
+    assert outputs[0] == outputs[1]
+
+
+def test_a_pool_holding_only_a_directory_is_empty(tmp_path, capsys):
+    (tmp_path / "zz.mmd").mkdir()
+    with pytest.raises(EmptyPool):
+        load_candidates(tmp_path, Notation.MERMAID_FLOWCHART)
+    assert main(["pipeline", "--domain", "flowchart", "--candidates", str(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"].startswith("no candidate files in ")
 
 
 def test_load_candidates_missing_dir(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,11 @@ def test_parse_mermaid_dangling_edge():
         parse("flowchart TD\nA[Start] --> ", Notation.MERMAID_FLOWCHART)
 
 
+def test_parse_mermaid_bad_node_reference():
+    with pytest.raises(ModelSyntaxError, match="bad node reference 'B\\(y\\)'"):
+        parse("flowchart TD\nA[x] --> B(y)", Notation.MERMAID_FLOWCHART)
+
+
 def test_parse_mermaid_requires_header():
     with pytest.raises(ModelSyntaxError):
         parse("A[Start] --> B[End]", Notation.MERMAID_FLOWCHART)
@@ -77,6 +83,14 @@ def test_parse_mermaid_duplicate_edge_collapses_with_warning():
     parsed = parse(text, Notation.MERMAID_FLOWCHART)
     assert len(parsed.graph.edges) == 1
     assert len(parsed.warnings) == 1
+
+
+@pytest.mark.parametrize("text", ["animal -> dog\nanimal -> dog", "animal -> dog\nAnimal -> DOG"],
+                         ids=["same", "differs_in_case"])
+def test_parse_taxonomy_duplicate_relation_collapses_with_warning(text):
+    parsed = parse(text, Notation.TAXONOMY_EDGES)
+    assert len(parsed.graph.edges) == 1
+    assert parsed.warnings == ["line 2: duplicate edge collapsed"]
 
 
 def test_parse_taxonomy():
@@ -130,6 +144,11 @@ def test_parse_clevr_undefined_reference():
         parse("n0: scene()\nn1: exist(n9)", Notation.CLEVR_PROGRAM)
 
 
+def test_parse_clevr_duplicate_operation_name():
+    with pytest.raises(ModelSyntaxError, match="duplicate operation name 'n0'"):
+        parse("n0: scene()\nn0: exist(n0)", Notation.CLEVR_PROGRAM)
+
+
 def test_clevr_display_label_render_rule():
     g = LabeledGraph()
     node_id = g.add_node("", clevr_op("filter_color", "red"))
@@ -158,6 +177,41 @@ def test_serialize_incompatible_kind():
     g.add_node("x", CONCEPT)
     with pytest.raises(IncompatibleNotation):
         serialize(g, Notation.MERMAID_FLOWCHART)
+
+
+def _op(name, param=None):
+    return "", clevr_op(name, param)
+
+
+# name: (notation, nodes, edges, text the error names), for build_graph
+UNWRITABLE = {
+    "mermaid_label_with_bar": (Notation.MERMAID_FLOWCHART, [("a", "a|b", ACTIVITY)], [],
+                               "label 'a|b'"),
+    "mermaid_edge_label_with_bar": (Notation.MERMAID_FLOWCHART,
+                                    [("a", "go", ACTIVITY), ("b", "stop", ACTIVITY)],
+                                    [("a", "b", "x|y")], "edge label 'x|y'"),
+    "activity_in_taxonomy": (Notation.TAXONOMY_EDGES, [("a", "go", ACTIVITY)], [],
+                             "activity not valid in a taxonomy"),
+    "activity_in_clevr": (Notation.CLEVR_PROGRAM, [("a", "go", ACTIVITY)], [],
+                          "activity not valid in a clevr program"),
+    "clevr_argument_not_a_position": (Notation.CLEVR_PROGRAM,
+                                      [("s", *_op("scene")), ("c", *_op("count"))],
+                                      [("s", "c", "x")], "argument edge label 'x'"),
+    "clevr_duplicate_position": (Notation.CLEVR_PROGRAM,
+                                 [("s", *_op("scene")), ("t", *_op("scene")), ("u", *_op("union"))],
+                                 [("s", "u", "0"), ("t", "u", "0")],
+                                 "duplicate argument position 0"),
+    "clevr_gap_at_position_0": (Notation.CLEVR_PROGRAM,
+                                [("s", *_op("scene")), ("c", *_op("count"))],
+                                [("s", "c", "1")], "not contiguous"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE))
+def test_serialize_rejects_what_the_notation_cannot_write(case):
+    notation, nodes, edges, named = UNWRITABLE[case]
+    with pytest.raises(IncompatibleNotation, match=re.escape(named)):
+        serialize(build_graph(nodes, edges), notation)
 
 
 def test_extract_code_block():

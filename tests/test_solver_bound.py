@@ -132,7 +132,7 @@ def test_incremental_state_matches_a_fresh_solver(seed, domain, n, picks):
 
 
 # Everything assign() changes that undo_to() must take back exactly.
-_UNDONE = ("values", "row_lo", "row_hi", "in1", "in0", "out1", "out0", "pair_live", "live_out",
+_UNDONE = ("values", "row_lo", "row_hi", "in1", "out1", "out0", "pair_live", "live_out",
            "alive", "selected")
 
 
